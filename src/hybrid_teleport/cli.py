@@ -11,12 +11,7 @@ from dataclasses import dataclass, replace
 from . import formulas, protocol
 from .crossval import run_all_checks
 from .encoding import HybridType
-from .engine import (
-    COHERENT_ALGEBRA,
-    TRUNCATED_FOCK,
-    CutoffInsufficientError,
-    DimensionLimitError,
-)
+from .engine import COHERENT_ALGEBRA, TRUNCATED_FOCK, CutoffInsufficientError
 from .loss import LossParameter
 from .protocol import SphereQuadrature
 
@@ -213,7 +208,7 @@ def run_sweep(config: SweepConfig) -> list:
             for r in config.r_values():
                 try:
                     fid, suc = _sweep_point(hybrid, alpha, r, config)
-                except (CutoffInsufficientError, DimensionLimitError) as exc:
+                except CutoffInsufficientError as exc:
                     raise RuntimeError(
                         f"numeric failure at type={hybrid.value} "
                         f"alpha={alpha:g} r={r:g}: {exc}"
@@ -319,7 +314,7 @@ def main(argv=None) -> int:
     if config.crossval:
         try:
             results, passed = run_crossval(config)
-        except (CutoffInsufficientError, DimensionLimitError) as exc:
+        except CutoffInsufficientError as exc:
             print(f"numeric error: {exc}", file=sys.stderr)
             return EXIT_NUMERIC
         if config.fmt == "json":

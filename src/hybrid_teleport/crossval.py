@@ -49,6 +49,10 @@ class CheckResult:
     worst: float
     tolerance: float
 
+    def __post_init__(self):
+        # checks reduce with max() over numpy scalars; keep passed a plain bool
+        object.__setattr__(self, "worst", float(self.worst))
+
     @property
     def passed(self) -> bool:
         return self.worst < self.tolerance

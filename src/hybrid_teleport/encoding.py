@@ -16,34 +16,27 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 from .engine import (
     COHERENT_ALGEBRA,
     Backend,
     Coherent,
+    Contraction,
     FockVector,
     KetSum,
     ModeLayout,
-    ModeProjector,
     Role,
     TermSum,
     apply_beam_splitter,
     default_cutoff,
     fock,
     overlap,
-    partial_trace,
-    project,
     trace_distance,
 )
 from .loss import LossParameter
+from .measurement import HybridType, MeasurementFamily, ProjectorSpec, projector
 
 SQRT_HALF = math.sqrt(0.5)
-
-
-class HybridType(Enum):
-    TYPE_I = "I"
-    TYPE_II = "II"
 
 
 @dataclass(frozen=True)
@@ -294,12 +287,6 @@ _SUPPORTED_COMBOS = {
 }
 
 
-def _o_sector_projector(label: str, layout: ModeLayout) -> ModeProjector:
-    from .measurement import ProjectorSpec, MeasurementFamily, projector
-
-    return projector(ProjectorSpec(MeasurementFamily.B_ALPHA, label[1:]))
-
-
 def bell_decomposition_details(
     hybrid: HybridType,
     alpha: float,
@@ -330,11 +317,11 @@ def bell_decomposition_details(
             bra = photonic_bell(hybrid, kind, sign, lay)
             reduced = _partial_inner(bra, total, backend)
             mixed = apply_beam_splitter(reduced, "A", "B").dm().canonicalized()
+            contraction = Contraction(mixed, bob_modes, backend)
             for o_label in ("o1", "o2", "o3", "o4"):
-                proj = _o_sector_projector(o_label, lay)
-                projected = project(mixed, proj, backend)
-                bob = partial_trace(projected, bob_modes, backend).canonicalized()
-                prob = float(bob.trace(backend).real)
+                spec = ProjectorSpec(MeasurementFamily.B_ALPHA, o_label[1:])
+                p, bob = contraction.outcome(projector(spec))
+                prob = float(p.real)
                 combo = (kind, sign, o_label)
                 pauli = _SUPPORTED_COMBOS.get(combo)
                 if pauli is None or prob < 1e-14:

@@ -22,15 +22,10 @@ import numpy as np
 MERGE_DECIMALS = 12
 DROP_TOL = 1e-14
 COHERENT_TAIL_TOL = 1e-10
-DENSE_ENTRY_LIMIT = 10**7
 
 
 class CutoffInsufficientError(ValueError):
     """A Fock cutoff cannot hold the requested state to tolerance."""
-
-
-class DimensionLimitError(ValueError):
-    """A dense materialization would exceed the entry budget."""
 
 
 class Role(Enum):
@@ -66,9 +61,6 @@ class ModeLayout:
     def index(self, name: str) -> int:
         return self.names.index(name)
 
-    def cutoff(self, name: str) -> int:
-        return self.cutoffs[self.index(name)]
-
     def subset(self, keep: Iterable[str]) -> "ModeLayout":
         keep = tuple(keep)
         idx = [self.index(n) for n in keep]
@@ -87,9 +79,6 @@ class ModeLayout:
             self.roles + other.roles,
         )
 
-    @property
-    def dims(self) -> tuple:
-        return tuple(c + 1 for c in self.cutoffs)
 
 
 @dataclass(frozen=True)
@@ -302,14 +291,16 @@ def filtered_overlap(
         return complex(np.vdot(vb, filt.mask(cutoff + 1) * vk))
     if isinstance(bra, Coherent) and isinstance(ket, Coherent):
         g, d = bra.amplitude, ket.amplitude
-        base = np.exp(-0.5 * abs(g) ** 2 - 0.5 * abs(d) ** 2)
+        a = -0.5 * abs(g) ** 2 - 0.5 * abs(d) ** 2
         z = g.conjugate() * d
         if filt.kind == "n":
-            return complex(base * z ** filt.n / math.factorial(filt.n))
+            return complex(np.exp(a) * z ** filt.n / math.factorial(filt.n))
+        # sinh/cosh(z) overflow where exp(a) underflows; a +/- z cannot
+        # (Re(a +/- z) = -|g -/+ d|^2 / 2 <= 0)
         if filt.kind == "odd":
-            return complex(base * np.sinh(z))
+            return complex(0.5 * (np.exp(a + z) - np.exp(a - z)))
         if filt.kind == "even_ge2":
-            return complex(base * (np.cosh(z) - 1.0))
+            return complex(0.5 * (np.exp(a + z) + np.exp(a - z)) - np.exp(a))
         raise ValueError(f"unknown filter kind {filt.kind!r}")
     # mixed coherent/Fock: the Fock side bounds the sum, so evaluate exactly
     parts = apply_filter(filt, ket, COHERENT_ALGEBRA, cutoff)
@@ -435,10 +426,6 @@ class KetSum:
             if c != 0:
                 self.terms.append((c, tuple(norm_kets)))
 
-    @classmethod
-    def product(cls, layout: ModeLayout, kets: Iterable[LocalKet]) -> "KetSum":
-        return cls(layout, [(1.0, tuple(kets))])
-
     def scaled(self, z: complex) -> "KetSum":
         return KetSum(self.layout, [(c * z, k) for c, k in self.terms])
 
@@ -518,18 +505,6 @@ class KetSum:
         ]
         return TermSum(self.layout, terms)
 
-    def to_vector(self) -> np.ndarray:
-        dims = self.layout.dims
-        total = int(np.prod(dims))
-        if total > DENSE_ENTRY_LIMIT:
-            raise DimensionLimitError(f"dense vector of size {total}")
-        vec = np.zeros(total, dtype=complex)
-        for c, kets in self.terms:
-            acc = np.array([c], dtype=complex)
-            for k, cut in zip(kets, self.layout.cutoffs):
-                acc = np.kron(acc, ket_vector(k, cut))
-            vec += acc
-        return vec
 
 
 class TermSum:
@@ -661,22 +636,6 @@ class TermSum:
             terms.append((c, tuple(ll), tuple(rr)))
         return TermSum(self.layout, terms)
 
-    def to_dense(self, backend: Backend = TRUNCATED_FOCK) -> np.ndarray:
-        dims = self.layout.dims
-        total = int(np.prod(dims))
-        if total * total > DENSE_ENTRY_LIMIT:
-            raise DimensionLimitError(
-                f"dense operator with {total * total} entries"
-            )
-        mat = np.zeros((total, total), dtype=complex)
-        for c, lefts, rights in self.terms:
-            vl = np.array([1.0], dtype=complex)
-            vr = np.array([1.0], dtype=complex)
-            for kl, kr, cut in zip(lefts, rights, self.layout.cutoffs):
-                vl = np.kron(vl, ket_vector(kl, cut))
-                vr = np.kron(vr, ket_vector(kr, cut))
-            mat += c * np.outer(vl, vr.conj())
-        return mat
 
 
 def apply_beam_splitter(state, mode_i: str, mode_j: str):
@@ -716,106 +675,131 @@ def apply_beam_splitter(state, mode_i: str, mode_j: str):
 
 
 # ---------------------------------------------------------------------------
-# projectors
+# projectors and contraction
 
 @dataclass(frozen=True)
 class ModeProjector:
-    """Sum of product projectors; each branch maps mode name -> NumberFilter."""
+    """Sum of product projectors; each branch maps mode name -> NumberFilter.
+
+    Branches must be mutually orthogonal, as every photon-counting outcome
+    table is: Contraction relies on it.
+    """
 
     branches: tuple  # tuple of tuples of (mode_name, NumberFilter)
 
-    def modes(self) -> tuple:
-        seen = []
-        for br in self.branches:
-            for name, _ in br:
-                if name not in seen:
-                    seen.append(name)
-        return tuple(seen)
+
+def _distinct(items: list, key: Callable) -> tuple:
+    """(distinct items by key in first-seen order, each item's index)."""
+    index = {}
+    firsts = []
+    ids = np.empty(len(items), dtype=np.int64)
+    for num, item in enumerate(items):
+        k = key(item)
+        pos = index.get(k)
+        if pos is None:
+            pos = index[k] = len(firsts)
+            firsts.append(item)
+        ids[num] = pos
+    return firsts, ids
 
 
-def project(state: TermSum, proj: ModeProjector, backend: Backend) -> TermSum:
-    """P rho P for a sum-of-products projector P."""
-    lay = state.layout
-    out_terms = []
+class Contraction:
+    """Projected partial trace Tr_traced[P rho P] of one state, any P.
 
-    def side_apply(kets, branch):
-        pieces = [(1.0 + 0.0j, kets)]
-        for name, filt in branch:
-            m = lay.index(name)
-            cut = lay.cutoffs[m]
-            nxt = []
-            for s, kk in pieces:
-                for s2, newk in apply_filter(filt, kk[m], backend, cut):
-                    nxt.append((s * s2, kk[:m] + (newk,) + kk[m + 1 :]))
-            pieces = nxt
-        return pieces
+    Every mode outside keep is traced.  A traced mode that a branch of P
+    does not name gets the plain trace (FILTER_ALL), so ModeProjector(((),))
+    gives the partial trace itself.  Branches must be mutually orthogonal:
+    the cross terms Tr[P_i rho P_j] then vanish, leaving the sum over i of
+    Tr_traced[P_i rho].
 
-    for c, lefts, rights in state.terms:
-        for br_l in proj.branches:
-            lparts = side_apply(lefts, br_l)
-            if not lparts:
-                continue
-            for br_r in proj.branches:
-                rparts = side_apply(rights, br_r)
-                for sl, kl in lparts:
-                    for sr, kr in rparts:
-                        out_terms.append((c * sl * sr.conjugate(), kl, kr))
-    return TermSum(lay, out_terms)
+    Built once per state and reused for every projector.  Per traced mode
+    it gathers the distinct (right, left) ket pairs and each term's pair
+    id; per term it records the kept-mode outer product.  A branch then
+    evaluates as an elementwise product of looked-up columns, one per
+    traced mode.
+    """
 
+    def __init__(self, state: TermSum, keep: Iterable[str], backend: Backend):
+        lay = state.layout
+        keep = tuple(keep)
+        kidx = [lay.index(n) for n in keep]
+        tidx = [i for i in range(len(lay.names)) if lay.names[i] not in keep]
+        terms = state.terms
+        self.backend = backend
+        self.keep_layout = lay.subset(keep)
+        self.coeff = np.array([c for c, _, _ in terms], dtype=complex)
 
-def partial_trace(state: TermSum, keep: Iterable[str], backend: Backend) -> TermSum:
-    """Trace out every mode not in keep; contraction is <R_m|L_m> per mode."""
-    lay = state.layout
-    keep = tuple(keep)
-    keep_idx = [lay.index(n) for n in keep]
-    drop_idx = [i for i in range(len(lay.names)) if lay.names[i] not in keep]
-    sub = lay.subset(keep)
-    terms = []
-    for c, lefts, rights in state.terms:
-        f = c
-        for m in drop_idx:
-            f *= overlap(rights[m], lefts[m], backend, lay.cutoffs[m])
-            if f == 0:
-                break
-        if f == 0:
-            continue
-        terms.append(
-            (
-                f,
-                tuple(lefts[m] for m in keep_idx),
-                tuple(rights[m] for m in keep_idx),
+        self.traced = {lay.names[i]: pos for pos, i in enumerate(tidx)}
+        self.mode_cutoffs = [lay.cutoffs[i] for i in tidx]
+        self.mode_pairs = []
+        self.mode_pair_ids = []
+        for i in tidx:
+            pairs, ids = _distinct(
+                [(rights[i], lefts[i]) for _, lefts, rights in terms],
+                lambda pair: (ket_key(pair[0]), ket_key(pair[1])),
             )
+            self.mode_pairs.append(pairs)
+            self.mode_pair_ids.append(ids)
+
+        self.keep_outers, self.keep_col = _distinct(
+            [
+                (tuple(lefts[i] for i in kidx), tuple(rights[i] for i in kidx))
+                for _, lefts, rights in terms
+            ],
+            lambda outer: tuple(tuple(ket_key(k) for k in side) for side in outer),
         )
-    return TermSum(sub, terms)
+        kcuts = [lay.cutoffs[i] for i in kidx]
+        self.keep_trace = np.empty(len(self.keep_outers), dtype=complex)
+        for kid, (kl, kr) in enumerate(self.keep_outers):
+            f = 1.0 + 0.0j
+            for left, right, cut in zip(kl, kr, kcuts):
+                f *= overlap(right, left, backend, cut)
+            self.keep_trace[kid] = f
+        self._filter_cols = {}
 
+    def _column(self, pos: int, filt: NumberFilter) -> np.ndarray:
+        """Per-term <R|filt|L> on the traced mode at position pos."""
+        key = (pos, filt)
+        col = self._filter_cols.get(key)
+        if col is None:
+            cut = self.mode_cutoffs[pos]
+            vals = np.array(
+                [
+                    filtered_overlap(r, filt, l, self.backend, cut)
+                    for (r, l) in self.mode_pairs[pos]
+                ],
+                dtype=complex,
+            )
+            col = vals[self.mode_pair_ids[pos]]
+            self._filter_cols[key] = col
+        return col
 
-def conditional_probability(
-    state: TermSum, proj: ModeProjector, backend: Backend
-) -> float:
-    """Tr[P rho] for a projector acting on a subset of modes."""
-    lay = state.layout
-    cuts = lay.cutoffs
-    proj_modes = {name: lay.index(name) for name in proj.modes()}
-    acc = 0.0 + 0.0j
-    for c, lefts, rights in state.terms:
-        base = c
-        for m in range(len(cuts)):
-            if lay.names[m] in proj_modes:
-                continue
-            base *= overlap(rights[m], lefts[m], backend, cuts[m])
-            if base == 0:
-                break
-        if base == 0:
-            continue
+    def _branch_values(self, proj: ModeProjector) -> np.ndarray:
+        """Per-term contraction factor, summed over the projector's branches."""
+        total = np.zeros(len(self.coeff), dtype=complex)
         for branch in proj.branches:
-            f = base
+            acc = np.ones(len(self.coeff), dtype=complex)
             for name, filt in branch:
-                m = proj_modes[name]
-                f *= filtered_overlap(rights[m], filt, lefts[m], backend, cuts[m])
-                if f == 0:
-                    break
-            acc += f
-    return float(acc.real)
+                acc = acc * self._column(self.traced[name], filt)
+            named = {name for name, _ in branch}
+            for name, pos in self.traced.items():
+                if name not in named:
+                    acc = acc * self._column(pos, FILTER_ALL)
+            total += acc
+        return total
+
+    def outcome(self, proj: ModeProjector) -> tuple:
+        """(Tr[P rho], unnormalized TermSum on the kept modes)."""
+        vals = self.coeff * self._branch_values(proj)
+        prob = complex(np.dot(vals, self.keep_trace[self.keep_col]))
+        weights = np.zeros(len(self.keep_outers), dtype=complex)
+        np.add.at(weights, self.keep_col, vals)
+        terms = [
+            (w, kl, kr)
+            for w, (kl, kr) in zip(weights, self.keep_outers)
+            if abs(w) > 1e-16
+        ]
+        return prob, TermSum(self.keep_layout, terms)
 
 
 def gram_eigvals(state: TermSum, backend: Backend) -> np.ndarray:

@@ -80,12 +80,6 @@ OUTCOME_GROUPS = (
 )
 
 
-def group_members(i: int) -> tuple:
-    if not 1 <= i <= 5:
-        raise ValueError(f"group index {i} out of range 1..5")
-    return OUTCOME_GROUPS[i - 1].members
-
-
 def _angle_parts(angles: BlochAngles) -> tuple:
     """(|mu|^2, |nu|^2, 2Re(mu nu*), 2Re(mu^2 nu*^2), mu nu*)."""
     mu, nu = angles.mu, angles.nu

@@ -16,6 +16,7 @@ finite, so every action here is exact.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -96,11 +97,11 @@ def damp_mode(state: TermSum, name: str, loss: LossParameter) -> TermSum:
         kl, kr = lefts[m], rights[m]
         if isinstance(kl, Coherent) and isinstance(kr, Coherent):
             g, d = kl.amplitude, kr.amplitude
-            f = math.exp(-0.5 * r * r * (abs(g) ** 2 + abs(d) ** 2))
-            factor = f * _cexp(r * r * g * d.conjugate())
+            # one exponent: its real part, -r^2 |g - d|^2 / 2, never overflows
+            z = r * r * (g * d.conjugate() - 0.5 * (abs(g) ** 2 + abs(d) ** 2))
             terms.append(
                 (
-                    c * factor,
+                    c * cmath.exp(z),
                     lefts[:m] + (Coherent(t * g),) + lefts[m + 1 :],
                     rights[:m] + (Coherent(t * d),) + rights[m + 1 :],
                 )
@@ -126,10 +127,6 @@ def damp_mode(state: TermSum, name: str, loss: LossParameter) -> TermSum:
                 )
             )
     return TermSum(state.layout, terms)
-
-
-def _cexp(z: complex) -> complex:
-    return complex(math.exp(z.real) * complex(math.cos(z.imag), math.sin(z.imag)))
 
 
 def damp_modes(state: TermSum, names, loss: LossParameter) -> TermSum:

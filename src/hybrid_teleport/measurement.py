@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .encoding import HybridType
 from .engine import (
     FILTER_EVEN_GE2,
     FILTER_ODD,
@@ -26,6 +25,17 @@ from .engine import (
 )
 
 FILTER_DOUBLE = NumberFilter("n", 2)
+
+
+class HybridType(Enum):
+    """Hybrid qubit encoding; it selects the single-photon-side analyzer.
+
+    Defined here, below encoding, so that encoding can use the analyzer
+    tables; encoding re-exports it.
+    """
+
+    TYPE_I = "I"
+    TYPE_II = "II"
 
 
 class MeasurementFamily(Enum):
@@ -93,7 +103,7 @@ _BS2_TABLE = {
 
 
 def projector(spec: ProjectorSpec) -> ModeProjector:
-    """Branch table consumable by the state engine's project."""
+    """Branch table consumable by the state engine's Contraction."""
     fam = spec.family
     if fam is MeasurementFamily.BS_TYPE_I:
         return _patterns(_S_MODES, _BS1_TABLE[spec.outcome])

@@ -31,12 +31,10 @@ from .encoding import (
 from .engine import (
     COHERENT_ALGEBRA,
     Backend,
-    KetSum,
+    Contraction,
+    ModeProjector,
     TermSum,
     apply_beam_splitter,
-    filtered_overlap,
-    ket_key,
-    overlap,
 )
 from .loss import LossParameter, damp_modes
 from .measurement import (
@@ -91,10 +89,6 @@ class SphereQuadrature:
 DEFAULT_QUADRATURE = SphereQuadrature()
 
 
-def _measured_modes(hybrid: HybridType) -> tuple:
-    return photonic_modes(hybrid, "a") + photonic_modes(hybrid, "b") + ("A", "B")
-
-
 def _bob_modes(hybrid: HybridType) -> tuple:
     return photonic_modes(hybrid, "c") + (coherent_mode("c"),)
 
@@ -130,120 +124,10 @@ def _protocol_states(hybrid: HybridType, alpha: float, r: float) -> dict:
     return out
 
 
-class _ContractionPlan:
-    """Vectorized per-term contraction over the measured modes.
-
-    For a canonicalized TermSum, gathers per-mode (bra, ket) pair ids and a
-    Bob-side outer-product id per term, so that any branch of number
-    filters evaluates as an elementwise product of looked-up columns.
-    """
-
-    def __init__(self, state: TermSum, measured: tuple, bob: tuple, backend: Backend):
-        lay = state.layout
-        self.backend = backend
-        self.layout = lay
-        self.bob_layout = lay.subset(bob)
-        midx = [lay.index(m) for m in measured]
-        bidx = [lay.index(m) for m in bob]
-        mcuts = [lay.cutoffs[i] for i in midx]
-        terms = state.terms
-        n = len(terms)
-        self.coeff = np.array([c for c, _, _ in terms], dtype=complex)
-
-        self.measured = measured
-        self.mode_pairs = []
-        self.mode_pair_ids = []
-        self.mode_cutoffs = mcuts
-        for i in midx:
-            pair_ids = {}
-            pairs = []
-            col = np.empty(n, dtype=np.int64)
-            for tnum, (_, lefts, rights) in enumerate(terms):
-                key = (ket_key(rights[i]), ket_key(lefts[i]))
-                pid = pair_ids.get(key)
-                if pid is None:
-                    pid = len(pairs)
-                    pair_ids[key] = pid
-                    pairs.append((rights[i], lefts[i]))
-                col[tnum] = pid
-            self.mode_pairs.append(pairs)
-            self.mode_pair_ids.append(col)
-
-        bob_ids = {}
-        self.bob_outers = []
-        self.bob_col = np.empty(n, dtype=np.int64)
-        for tnum, (_, lefts, rights) in enumerate(terms):
-            bl = tuple(lefts[i] for i in bidx)
-            br = tuple(rights[i] for i in bidx)
-            key = (
-                tuple(ket_key(k) for k in bl),
-                tuple(ket_key(k) for k in br),
-            )
-            bid = bob_ids.get(key)
-            if bid is None:
-                bid = len(self.bob_outers)
-                bob_ids[key] = bid
-                self.bob_outers.append((bl, br))
-            self.bob_col[tnum] = bid
-
-        bcuts = [lay.cutoffs[i] for i in bidx]
-        self.bob_trace = np.empty(len(self.bob_outers), dtype=complex)
-        for bid, (bl, br) in enumerate(self.bob_outers):
-            f = 1.0 + 0.0j
-            for kl, kr, cut in zip(bl, br, bcuts):
-                f *= overlap(kr, kl, backend, cut)
-            self.bob_trace[bid] = f
-        self._filter_cols = {}
-
-    def _column(self, mode_pos: int, filt) -> np.ndarray:
-        key = (mode_pos, filt)
-        col = self._filter_cols.get(key)
-        if col is None:
-            pairs = self.mode_pairs[mode_pos]
-            cut = self.mode_cutoffs[mode_pos]
-            vals = np.array(
-                [
-                    filtered_overlap(r, filt, l, self.backend, cut)
-                    for (r, l) in pairs
-                ],
-                dtype=complex,
-            )
-            col = vals[self.mode_pair_ids[mode_pos]]
-            self._filter_cols[key] = col
-        return col
-
-    def branch_values(self, proj) -> np.ndarray:
-        """Sum over projector branches of the per-term contraction factor."""
-        mode_pos = {m: i for i, m in enumerate(self.measured)}
-        total = np.zeros(len(self.coeff), dtype=complex)
-        for branch in proj.branches:
-            acc = None
-            for name, filt in branch:
-                col = self._column(mode_pos[name], filt)
-                acc = col.copy() if acc is None else acc * col
-            total += acc
-        return total
-
-    def outcome(self, proj) -> tuple:
-        """(probability, unnormalized Bob TermSum) for one joint projector."""
-        vals = self.coeff * self.branch_values(proj)
-        prob = complex(np.dot(vals, self.bob_trace[self.bob_col]))
-        weights = np.zeros(len(self.bob_outers), dtype=complex)
-        np.add.at(weights, self.bob_col, vals)
-        terms = [
-            (w, bl, br)
-            for w, (bl, br) in zip(weights, self.bob_outers)
-            if abs(w) > 1e-16
-        ]
-        return prob, TermSum(self.bob_layout, terms)
-
-
 def _joint_projector(hybrid: HybridType, label: OutcomeLabel):
     """Single ModeProjector covering both analyzers' modes."""
     s_proj = projector(ProjectorSpec(s_family(hybrid), label.s_outcome))
     a_proj = projector(ProjectorSpec(MeasurementFamily.B_ALPHA, label.alpha_outcome))
-    from .engine import ModeProjector
-
     branches = tuple(
         sb + ab for sb in s_proj.branches for ab in a_proj.branches
     )
@@ -281,11 +165,10 @@ def outcome_tensors(
     hybrid: HybridType, alpha: float, r: float, backend: Backend
 ) -> tuple:
     """All joint-outcome tensors for one parameter point, outcome-ordered."""
-    states = _protocol_states(hybrid, alpha, r)
-    measured = _measured_modes(hybrid)
     bob = _bob_modes(hybrid)
-    plans = {
-        xy: _ContractionPlan(st, measured, bob, backend) for xy, st in states.items()
+    contractions = {
+        xy: Contraction(st, bob, backend)
+        for xy, st in _protocol_states(hybrid, alpha, r).items()
     }
     basis = DynamicBasis(alpha, LossParameter(r))
     bob_kets = {bit: logical_ket(hybrid, bit, basis, "c") for bit in (0, 1)}
@@ -296,8 +179,8 @@ def outcome_tensors(
         correction = correction_lookup(hybrid, label)
         prob = np.zeros((2, 2), dtype=complex)
         raw = {}
-        for (x, y), plan in plans.items():
-            p, ts = plan.outcome(proj)
+        for (x, y), contraction in contractions.items():
+            p, ts = contraction.outcome(proj)
             prob[x, y] = p
             raw[(x, y)] = ts
         prob[1, 0] = np.conj(prob[0, 1])

@@ -5,6 +5,7 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from hybrid_teleport import cli
@@ -196,7 +197,9 @@ class TestExitCodes:
         assert all(line.startswith("FAIL") for line in lines)
 
     def test_crossval_json(self, monkeypatch, capsys):
-        fake = (CheckResult("bell-support", 5.0e-15, 1.0e-8),)
+        # checks reduce with max() over numpy scalars, so worst can arrive
+        # as np.float64; the report must still serialize
+        fake = (CheckResult("bell-support", np.float64(5.0e-15), 1.0e-8),)
         monkeypatch.setattr(cli, "run_all_checks", lambda: fake)
         assert main(["--crossval", "--format", "json"]) == EXIT_OK
         payload = json.loads(capsys.readouterr().out)

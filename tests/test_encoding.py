@@ -21,7 +21,12 @@ from hybrid_teleport.encoding import (
     protocol_layout,
     qubit_layout,
 )
-from hybrid_teleport.engine import COHERENT_ALGEBRA, trace_distance
+from hybrid_teleport.engine import (
+    COHERENT_ALGEBRA,
+    Contraction,
+    ModeProjector,
+    trace_distance,
+)
 from hybrid_teleport.loss import LossParameter
 
 HYBRIDS = (HybridType.TYPE_I, HybridType.TYPE_II)
@@ -152,10 +157,9 @@ class TestIdealChannel:
 
 
 def _bob_sandwich(rho, left, right):
-    """<left| Tr_sender(rho) |right> without building the partial trace."""
-    from hybrid_teleport.engine import partial_trace
-
-    reduced = partial_trace(rho, left.layout.names, COHERENT_ALGEBRA)
+    """<left| Tr_sender(rho) |right>."""
+    trace = ModeProjector(((),))
+    _, reduced = Contraction(rho, left.layout.names, COHERENT_ALGEBRA).outcome(trace)
     return reduced.matrix_element(left, right, COHERENT_ALGEBRA)
 
 

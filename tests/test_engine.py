@@ -18,6 +18,7 @@ from hybrid_teleport.engine import (
     COHERENT_ALGEBRA,
     TRUNCATED_FOCK,
     Coherent,
+    Contraction,
     CutoffInsufficientError,
     FockVector,
     FILTER_ALL,
@@ -34,7 +35,6 @@ from hybrid_teleport.engine import (
     VACUUM,
     apply_beam_splitter,
     apply_filter,
-    conditional_probability,
     default_cutoff,
     filtered_overlap,
     fock,
@@ -42,12 +42,11 @@ from hybrid_teleport.engine import (
     ket_vector,
     normalize_ket,
     overlap,
-    partial_trace,
-    project,
     trace_distance,
 )
 
 BACKENDS = (COHERENT_ALGEBRA, TRUNCATED_FOCK)
+TRACE = ModeProjector(((),))  # one empty branch: the plain partial trace
 
 
 def dense_bs(cutoff: int) -> np.ndarray:
@@ -302,22 +301,11 @@ class TestSums:
     def test_partial_trace_reduces(self):
         lay, plus, minus = self._qubit_pair()
         rho = plus.dm().scaled(0.25) + minus.dm().scaled(0.25)
-        red = partial_trace(rho, ("p",), COHERENT_ALGEBRA)
+        prob, red = Contraction(rho, ("p",), COHERENT_ALGEBRA).outcome(TRACE)
         assert red.layout.names == ("p",)
         total = rho.trace(COHERENT_ALGEBRA)
         assert math.isclose(red.trace(COHERENT_ALGEBRA).real, total.real, rel_tol=1e-12)
-
-    def test_project_and_conditional_probability_agree(self):
-        lay, plus, minus = self._qubit_pair()
-        rho = plus.dm().scaled(0.5) + minus.dm().scaled(0.5)
-        norm = rho.trace(COHERENT_ALGEBRA).real
-        proj = ModeProjector(((("p", FILTER_SINGLE),),))
-        p_fused = conditional_probability(rho, proj, COHERENT_ALGEBRA)
-        projected = project(rho, proj, COHERENT_ALGEBRA)
-        assert math.isclose(
-            p_fused.real, projected.trace(COHERENT_ALGEBRA).real, rel_tol=1e-10
-        )
-        assert 0.0 < p_fused.real < norm
+        assert math.isclose(prob.real, total.real, rel_tol=1e-12)
 
     def test_trace_distance_metric_properties(self):
         _, plus, minus = self._qubit_pair()
@@ -328,3 +316,86 @@ class TestSums:
         dba = trace_distance(b, a, COHERENT_ALGEBRA)
         assert math.isclose(dab, dba, rel_tol=1e-10)
         assert 0.0 < dab <= 1.0 + 1e-12
+
+
+def dense_operator(state: TermSum) -> np.ndarray:
+    """Dense truncated-Fock matrix of an operator sum (oracle)."""
+    cuts = state.layout.cutoffs
+
+    def vec(kets):
+        out = np.ones(1, dtype=complex)
+        for k, cut in zip(kets, cuts):
+            out = np.kron(out, ket_vector(k, cut))
+        return out
+
+    return sum(c * np.outer(vec(l), vec(r).conj()) for c, l, r in state.terms)
+
+
+def dense_projector(layout: ModeLayout, proj: ModeProjector) -> np.ndarray:
+    """Dense sum over branches of the filters' Kronecker product (oracle)."""
+    total = 0.0
+    for branch in proj.branches:
+        filters = dict(branch)
+        op = np.ones((1, 1))
+        for name, cut in zip(layout.names, layout.cutoffs):
+            filt = filters.get(name, FILTER_ALL)
+            op = np.kron(op, np.diag(filt.mask(cut + 1)))
+        total = total + op
+    return total
+
+
+class TestContraction:
+    """Contraction against dense P rho P with the traced modes summed out."""
+
+    # p is kept; q and C are traced
+    LAYOUT = ModeLayout(
+        ("p", "q", "C"), (2, 2, 20), (Role.PHOTONIC, Role.PHOTONIC, Role.COHERENT)
+    )
+
+    def _rho(self):
+        psi = KetSum(
+            self.LAYOUT,
+            [
+                (0.6, (FockVector((1.0, 1.0)), fock(1), Coherent(0.9))),
+                (0.5, (fock(0), FockVector((0.3, 0.7)), Coherent(-0.9))),
+                (0.4j, (fock(1), fock(0), Coherent(0.4 + 0.3j))),
+                (0.3, (fock(1), fock(2), Coherent(0.2))),
+            ],
+        )
+        return psi.dm()
+
+    def _oracle(self, rho, proj):
+        dp, dq, dc = (c + 1 for c in self.LAYOUT.cutoffs)
+        proj_d = dense_projector(self.LAYOUT, proj)
+        full = proj_d @ dense_operator(rho) @ proj_d
+        prob = np.trace(full)
+        reduced = np.einsum("iabjab->ij", full.reshape(dp, dq, dc, dp, dq, dc))
+        return prob, reduced
+
+    @pytest.mark.parametrize("backend", BACKENDS, ids=lambda b: b.kind)
+    @pytest.mark.parametrize(
+        "branches",
+        [
+            # every branch names every traced mode
+            (
+                (("q", FILTER_SINGLE), ("C", FILTER_ODD)),
+                (("q", FILTER_VACUUM), ("C", FILTER_EVEN_GE2)),
+            ),
+            # the first branch leaves C to the plain trace
+            (
+                (("q", FILTER_SINGLE),),
+                (("q", FILTER_VACUUM), ("C", FILTER_ODD)),
+            ),
+            ((),),
+        ],
+        ids=["full", "partial", "trace"],
+    )
+    def test_matches_dense_oracle(self, backend, branches):
+        rho = self._rho()
+        proj = ModeProjector(branches)
+        prob, reduced = Contraction(rho, ("p",), backend).outcome(proj)
+        want_prob, want_reduced = self._oracle(rho, proj)
+        assert reduced.layout.names == ("p",)
+        assert abs(prob - want_prob) < 1e-10
+        assert 0.0 < prob.real
+        assert np.allclose(dense_operator(reduced), want_reduced, atol=1e-10)
