@@ -11,7 +11,6 @@ Output: CSV to --out (default decay_curves.csv), spot check to stdout.
 """
 
 import argparse
-import math
 import sys
 
 from hybrid_teleport.cli import SweepConfig, format_csv, run_sweep

@@ -206,13 +206,19 @@ def run_sweep(config: SweepConfig) -> list:
     for hybrid in config.types:
         for alpha in config.alphas:
             for r in config.r_values():
+                where = f"type={hybrid.value} alpha={alpha:g} r={r:g}"
                 try:
                     fid, suc = _sweep_point(hybrid, alpha, r, config)
                 except CutoffInsufficientError as exc:
                     raise RuntimeError(
-                        f"numeric failure at type={hybrid.value} "
-                        f"alpha={alpha:g} r={r:g}: {exc}"
+                        f"numeric failure in {config.engine} at {where}: {exc}"
                     ) from exc
+                for stage, value in (("avg_fidelity", fid), ("avg_success", suc)):
+                    if not math.isfinite(value):
+                        raise RuntimeError(
+                            f"numeric failure in {stage} ({config.engine}) "
+                            f"at {where}: non-finite value {value}"
+                        )
                 rows.append(
                     {
                         "type": hybrid.value,

@@ -316,8 +316,8 @@ def bell_decomposition_details(
         for sign in (1, -1):
             bra = photonic_bell(hybrid, kind, sign, lay)
             reduced = _partial_inner(bra, total, backend)
-            mixed = apply_beam_splitter(reduced, "A", "B").dm().canonicalized()
-            contraction = Contraction(mixed, bob_modes, backend)
+            split = apply_beam_splitter(reduced, "A", "B")
+            contraction = Contraction(split, split, bob_modes, backend)
             for o_label in ("o1", "o2", "o3", "o4"):
                 spec = ProjectorSpec(MeasurementFamily.B_ALPHA, o_label[1:])
                 p, bob = contraction.outcome(projector(spec))

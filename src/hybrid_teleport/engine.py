@@ -343,33 +343,35 @@ def apply_filter(
 BS_THETA = math.pi / 4.0
 
 
-@lru_cache(maxsize=64)
-def _bs_sector_matrix(k: int) -> np.ndarray:
+@lru_cache(maxsize=256)
+def _bs_sector_matrix(k: int, theta: float = BS_THETA) -> np.ndarray:
     """Rotation of the total-photon-number-k sector, basis |n>_i |k-n>_j.
 
-    Generator (pi/4)(a_i^dag a_j - a_i a_j^dag); the sector matrix is the
+    Generator theta (a_i^dag a_j - a_i a_j^dag); the sector matrix is the
     exact exponential (the generator conserves total photon number).
     """
     g = np.zeros((k + 1, k + 1))
     for n in range(k):
-        val = BS_THETA * math.sqrt((n + 1) * (k - n))
+        val = theta * math.sqrt((n + 1) * (k - n))
         g[n + 1, n] = val
         g[n, n + 1] = -val
     lam, vec = np.linalg.eigh(1j * g)
     return (vec * np.exp(-1j * lam)) @ vec.conj().T
 
 
-def _bs_pair(ki: LocalKet, kj: LocalKet, ci: int, cj: int) -> list:
+def _bs_pair(
+    ki: LocalKet, kj: LocalKet, ci: int, cj: int, theta: float = BS_THETA
+) -> list:
     """Transform a two-mode product ket; returns [(scalar, ket_i, ket_j)].
 
     Coherent pairs stay a single product via the closed-form rule
-    |g>|d> -> |(g+d)/sqrt2>|(d-g)/sqrt2>; Fock content is rotated exactly
-    within each total-photon-number sector.
+    |g>|d> -> |cos(theta) g + sin(theta) d>|cos(theta) d - sin(theta) g>;
+    Fock content is rotated exactly within each total-photon-number sector.
     """
     if isinstance(ki, Coherent) and isinstance(kj, Coherent):
         g, d = ki.amplitude, kj.amplitude
-        s = math.sqrt(0.5)
-        return [(1.0 + 0.0j, Coherent((g + d) * s), Coherent((d - g) * s))]
+        c, s = math.cos(theta), math.sin(theta)
+        return [(1.0 + 0.0j, Coherent(c * g + s * d), Coherent(c * d - s * g))]
     vi = ket_vector(ki, ci)
     vj = ket_vector(kj, cj)
     block = np.outer(vi, vj)
@@ -380,7 +382,7 @@ def _bs_pair(ki: LocalKet, kj: LocalKet, ci: int, cj: int) -> list:
         n_hi = min(ci, k)
         if n_lo > n_hi:
             continue
-        rot = _bs_sector_matrix(k)
+        rot = _bs_sector_matrix(k, theta)
         full = np.zeros(k + 1, dtype=complex)
         for n in range(n_lo, n_hi + 1):
             full[n] = block[n, k - n]
@@ -638,40 +640,29 @@ class TermSum:
 
 
 
-def apply_beam_splitter(state, mode_i: str, mode_j: str):
-    """50:50 beam splitter on modes (i, j) of a KetSum or TermSum.
+def apply_beam_splitter(
+    state: KetSum, mode_i: str, mode_j: str, theta: float = BS_THETA
+) -> KetSum:
+    """Beam splitter of mixing angle theta on modes (i, j) of a KetSum.
 
-    Convention: generator exp((pi/4)(a_i^dag a_j - a_i a_j^dag)), i.e.
-    a_i^dag -> (a_i^dag - a_j^dag)/sqrt2 and a_j^dag -> (a_i^dag + a_j^dag)/sqrt2,
-    so coherent amplitudes map as |g>_i |d>_j -> |(g+d)/sqrt2>_i |(d-g)/sqrt2>_j
-    and a lone photon in i exits as (|1,0> - |0,1>)/sqrt2.
+    Convention: generator exp(theta (a_i^dag a_j - a_i a_j^dag)), i.e.
+    a_i^dag -> cos(theta) a_i^dag - sin(theta) a_j^dag and
+    a_j^dag -> sin(theta) a_i^dag + cos(theta) a_j^dag.  The default
+    theta = pi/4 is the 50:50 splitter: coherent amplitudes map as
+    |g>_i |d>_j -> |(g+d)/sqrt2>_i |(d-g)/sqrt2>_j and a lone photon in i
+    exits as (|1,0> - |0,1>)/sqrt2.  With a vacuum in j, theta = asin(r)
+    leaks the fraction r^2 of mode i's energy into j: photon loss.
     """
     lay = state.layout
     i, j = lay.index(mode_i), lay.index(mode_j)
     ci, cj = lay.cutoffs[i], lay.cutoffs[j]
-
-    def transform(kets):
-        return [
-            (s, kets[:i] + (ki,) + kets[i + 1 : j] + (kj,) + kets[j + 1 :])
-            if i < j
-            else (s, kets[:j] + (kj,) + kets[j + 1 : i] + (ki,) + kets[i + 1 :])
-            for s, ki, kj in _bs_pair(kets[i], kets[j], ci, cj)
-        ]
-
-    if isinstance(state, KetSum):
-        terms = []
-        for c, kets in state.terms:
-            for s, newkets in transform(kets):
-                terms.append((c * s, newkets))
-        return KetSum(lay, terms)
     terms = []
-    for c, lefts, rights in state.terms:
-        lparts = transform(lefts)
-        rparts = transform(rights)
-        for sl, kl in lparts:
-            for sr, kr in rparts:
-                terms.append((c * sl * sr.conjugate(), kl, kr))
-    return TermSum(lay, terms)
+    for c, kets in state.terms:
+        for s, ki, kj in _bs_pair(kets[i], kets[j], ci, cj, theta):
+            new = list(kets)
+            new[i], new[j] = ki, kj
+            terms.append((c * s, tuple(new)))
+    return KetSum(lay, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -704,100 +695,113 @@ def _distinct(items: list, key: Callable) -> tuple:
 
 
 class Contraction:
-    """Projected partial trace Tr_traced[P rho P] of one state, any P.
+    """Projected partial trace Tr_traced[P |ket><bra| P] of one ket pair, any P.
 
     Every mode outside keep is traced.  A traced mode that a branch of P
     does not name gets the plain trace (FILTER_ALL), so ModeProjector(((),))
-    gives the partial trace itself.  Branches must be mutually orthogonal:
-    the cross terms Tr[P_i rho P_j] then vanish, leaving the sum over i of
+    gives the partial trace itself; so do the environment modes a dilated
+    loss channel leaks into.  Branches must be mutually orthogonal: the
+    cross terms Tr[P_i rho P_j] then vanish, leaving the sum over i of
     Tr_traced[P_i rho].
 
-    Built once per state and reused for every projector.  Per traced mode
-    it gathers the distinct (right, left) ket pairs and each term's pair
-    id; per term it records the kept-mode outer product.  A branch then
-    evaluates as an elementwise product of looked-up columns, one per
-    traced mode.
+    Built once per pair and reused for every projector.  Per traced mode it
+    gathers the distinct ket and bra factors and each term's factor id, so a
+    (mode, filter) pair costs one small matrix of <bra|filter|ket> values,
+    indexed out once to an N_ket x N_bra grid.  A branch is the elementwise
+    product of its grids; one-hot matrix products then sum the weights onto
+    the distinct kept-mode outer products.  No N_ket * N_bra-term operator
+    is built.
     """
 
-    def __init__(self, state: TermSum, keep: Iterable[str], backend: Backend):
-        lay = state.layout
+    def __init__(self, ket: KetSum, bra: KetSum, keep: Iterable[str], backend: Backend):
+        lay = ket.layout
+        if bra.layout.names != lay.names:
+            raise ValueError("layout mismatch")
         keep = tuple(keep)
         kidx = [lay.index(n) for n in keep]
         tidx = [i for i in range(len(lay.names)) if lay.names[i] not in keep]
-        terms = state.terms
         self.backend = backend
         self.keep_layout = lay.subset(keep)
-        self.coeff = np.array([c for c, _, _ in terms], dtype=complex)
+        self.coeff = np.outer(
+            np.array([c for c, _ in ket.terms], dtype=complex),
+            np.array([c for c, _ in bra.terms], dtype=complex).conj(),
+        )
 
         self.traced = {lay.names[i]: pos for pos, i in enumerate(tidx)}
         self.mode_cutoffs = [lay.cutoffs[i] for i in tidx]
-        self.mode_pairs = []
-        self.mode_pair_ids = []
-        for i in tidx:
-            pairs, ids = _distinct(
-                [(rights[i], lefts[i]) for _, lefts, rights in terms],
-                lambda pair: (ket_key(pair[0]), ket_key(pair[1])),
+        self.mode_factors = [
+            (
+                _distinct([kets[i] for _, kets in ket.terms], ket_key),
+                _distinct([kets[i] for _, kets in bra.terms], ket_key),
             )
-            self.mode_pairs.append(pairs)
-            self.mode_pair_ids.append(ids)
+            for i in tidx
+        ]
 
-        self.keep_outers, self.keep_col = _distinct(
-            [
-                (tuple(lefts[i] for i in kidx), tuple(rights[i] for i in kidx))
-                for _, lefts, rights in terms
-            ],
-            lambda outer: tuple(tuple(ket_key(k) for k in side) for side in outer),
+        (self.keep_kets, ket_ids), (self.keep_bras, bra_ids) = (
+            _distinct(
+                [tuple(kets[i] for i in kidx) for _, kets in side.terms],
+                lambda kept: tuple(ket_key(k) for k in kept),
+            )
+            for side in (ket, bra)
         )
+        # one-hot rows: ket_sum @ grid @ bra_sum adds up the term pairs that
+        # share a kept-mode outer product
+        self.ket_sum = np.eye(len(self.keep_kets))[ket_ids].T
+        self.bra_sum = np.eye(len(self.keep_bras))[bra_ids]
         kcuts = [lay.cutoffs[i] for i in kidx]
-        self.keep_trace = np.empty(len(self.keep_outers), dtype=complex)
-        for kid, (kl, kr) in enumerate(self.keep_outers):
-            f = 1.0 + 0.0j
-            for left, right, cut in zip(kl, kr, kcuts):
-                f *= overlap(right, left, backend, cut)
-            self.keep_trace[kid] = f
-        self._filter_cols = {}
+        self.keep_trace = np.array(
+            [
+                [
+                    np.prod([overlap(r, l, backend, cut) for l, r, cut in zip(kl, kr, kcuts)])
+                    for kr in self.keep_bras
+                ]
+                for kl in self.keep_kets
+            ],
+            dtype=complex,
+        ).reshape(len(self.keep_kets), len(self.keep_bras))
+        self._grids = {}
+        self._plain_grids = {}
 
-    def _column(self, pos: int, filt: NumberFilter) -> np.ndarray:
-        """Per-term <R|filt|L> on the traced mode at position pos."""
-        key = (pos, filt)
-        col = self._filter_cols.get(key)
-        if col is None:
+    def _grid(self, pos: int, filt: NumberFilter) -> np.ndarray:
+        """Per-term-pair <bra|filt|ket> on the traced mode at position pos."""
+        grid = self._grids.get((pos, filt))
+        if grid is None:
+            (kets, ket_ids), (bras, bra_ids) = self.mode_factors[pos]
             cut = self.mode_cutoffs[pos]
             vals = np.array(
-                [
-                    filtered_overlap(r, filt, l, self.backend, cut)
-                    for (r, l) in self.mode_pairs[pos]
-                ],
+                [[filtered_overlap(b, filt, k, self.backend, cut) for b in bras] for k in kets],
                 dtype=complex,
-            )
-            col = vals[self.mode_pair_ids[pos]]
-            self._filter_cols[key] = col
-        return col
+            ).reshape(len(kets), len(bras))
+            grid = self._grids[(pos, filt)] = vals[ket_ids][:, bra_ids]
+        return grid
+
+    def _plain(self, names: frozenset) -> np.ndarray:
+        """Product of the plain-trace grids of the named traced modes."""
+        grid = self._plain_grids.get(names)
+        if grid is None:
+            grid = np.ones(self.coeff.shape, dtype=complex)
+            for name in names:
+                grid = grid * self._grid(self.traced[name], FILTER_ALL)
+            self._plain_grids[names] = grid
+        return grid
 
     def _branch_values(self, proj: ModeProjector) -> np.ndarray:
-        """Per-term contraction factor, summed over the projector's branches."""
-        total = np.zeros(len(self.coeff), dtype=complex)
+        """Per-term-pair contraction factor, summed over the projector's branches."""
+        total = np.zeros(self.coeff.shape, dtype=complex)
         for branch in proj.branches:
-            acc = np.ones(len(self.coeff), dtype=complex)
+            acc = self._plain(frozenset(self.traced).difference(n for n, _ in branch))
             for name, filt in branch:
-                acc = acc * self._column(self.traced[name], filt)
-            named = {name for name, _ in branch}
-            for name, pos in self.traced.items():
-                if name not in named:
-                    acc = acc * self._column(pos, FILTER_ALL)
+                acc = acc * self._grid(self.traced[name], filt)
             total += acc
         return total
 
     def outcome(self, proj: ModeProjector) -> tuple:
         """(Tr[P rho], unnormalized TermSum on the kept modes)."""
-        vals = self.coeff * self._branch_values(proj)
-        prob = complex(np.dot(vals, self.keep_trace[self.keep_col]))
-        weights = np.zeros(len(self.keep_outers), dtype=complex)
-        np.add.at(weights, self.keep_col, vals)
+        weights = self.ket_sum @ (self.coeff * self._branch_values(proj)) @ self.bra_sum
+        prob = complex(np.sum(weights * self.keep_trace))
         terms = [
-            (w, kl, kr)
-            for w, (kl, kr) in zip(weights, self.keep_outers)
-            if abs(w) > 1e-16
+            (weights[p, q], self.keep_kets[p], self.keep_bras[q])
+            for p, q in zip(*np.nonzero(np.abs(weights) > 1e-16))
         ]
         return prob, TermSum(self.keep_layout, terms)
 

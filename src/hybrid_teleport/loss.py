@@ -1,17 +1,24 @@
-"""Photon loss as an amplitude-damping channel applied mode by mode.
+"""Photon loss: a beam splitter onto an environment mode, and its oracles.
 
-The channel with transmission t (loss r, t^2 + r^2 = 1) acts on a coherent
-pair exactly:
+A lossy mode with transmission t (loss r, t^2 + r^2 = 1) meets a vacuum
+environment mode on a beam splitter of mixing angle asin(r); tracing the
+environment out gives the loss channel (its Stinespring dilation).
+`dilate` is that beam splitter and keeps the state a ket; the
+environment is traced inside `engine.Contraction`.
+
+Two independent forms of the same channel serve as oracles.  On an
+operator sum it acts on a coherent pair exactly as
 
     |g><d|  ->  exp[(1 - t^2)(g d* - |g|^2/2 - |d|^2/2)] |t g><t d|
 
 and on Fock content through the Kraus operators
 
     E_k |n> = sqrt(C(n, k)) t^(n-k) r^k |n-k>,
-    E_k |g> = ((r g)^k / sqrt(k!)) e^(-r^2 |g|^2 / 2) |t g>.
+    E_k |g> = ((r g)^k / sqrt(k!)) e^(-r^2 |g|^2 / 2) |t g>
 
-Whenever one side of a term has bounded photon number the Kraus sum is
-finite, so every action here is exact.
+(`damp_mode`).  Whenever one side of a term has bounded photon number the
+Kraus sum is finite, so every action here is exact.  `decohered_channel`
+is the closed-form damped channel state.
 """
 
 from __future__ import annotations
@@ -20,7 +27,17 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .engine import Coherent, FockVector, LocalKet, TermSum, fock
+from .engine import (
+    Coherent,
+    FockVector,
+    KetSum,
+    LocalKet,
+    ModeLayout,
+    Role,
+    TermSum,
+    apply_beam_splitter,
+    fock,
+)
 
 
 @dataclass(frozen=True)
@@ -46,6 +63,33 @@ class LossParameter:
         if not 0.0 < t <= 1.0:
             raise ValueError(f"transmission t must lie in (0, 1], got {t}")
         return cls(math.sqrt(max(0.0, 1.0 - t * t)))
+
+
+def dilate(state: KetSum, names, loss: LossParameter) -> KetSum:
+    """Loss on the named modes of a ket, kept pure on a larger layout.
+
+    Each named mode n gets its own vacuum environment mode "n~env" with
+    the same cutoff (|0> as a coherent state for a coherent mode, the Fock
+    vacuum for a photonic one) and meets it on a beam splitter of mixing
+    angle asin(r): |g>|0> -> |t g>|-r g>.  Tracing the environment modes
+    out gives damp_modes(state.dm(), names, loss).
+    """
+    lay = state.layout
+    idx = [lay.index(n) for n in names]
+    env_names = tuple(n + "~env" for n in names)
+    vacua = tuple(
+        Coherent(0.0) if lay.roles[i] is Role.COHERENT else fock(0) for i in idx
+    )
+    env = ModeLayout(
+        env_names,
+        tuple(lay.cutoffs[i] for i in idx),
+        tuple(lay.roles[i] for i in idx),
+    )
+    out = state.tensor(KetSum(env, [(1.0, vacua)]))
+    theta = math.asin(loss.r)
+    for n, e in zip(names, env_names):
+        out = apply_beam_splitter(out, n, e, theta)
+    return out
 
 
 def _kraus_on_ket(k: int, ket: LocalKet, t: float, r: float) -> tuple:

@@ -1,12 +1,13 @@
 """End-to-end teleportation runs from first principles.
 
 The pipeline builds the input qubit (pure, in the dynamic basis) and the
-damped channel, interferes the matching halves on 50:50 beam splitters,
-and resolves every joint detector outcome.  Expensive work is organized
-around the bilinearity of the protocol in the input state: one run per
-logical basis pair |x_L><y_L| yields outcome tensors from which any Bloch
-input, any sphere average, and any conditional state follow by cheap
-contraction.
+channel, leaks each channel mode into its own environment mode on a beam
+splitter (photon loss), interferes the matching halves on 50:50 beam
+splitters, and resolves every joint detector outcome with the environment
+traced out.  Expensive work is organized around the bilinearity of the
+protocol in the input state: one run per logical basis pair |x_L><y_L|
+yields outcome tensors from which any Bloch input, any sphere average,
+and any conditional state follow by cheap contraction.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .engine import (
     TermSum,
     apply_beam_splitter,
 )
-from .loss import LossParameter, damp_modes
+from .loss import LossParameter, dilate
 from .measurement import (
     FAIL,
     OutcomeLabel,
@@ -94,12 +95,14 @@ def _bob_modes(hybrid: HybridType) -> tuple:
 
 
 @lru_cache(maxsize=64)
-def _protocol_states(hybrid: HybridType, alpha: float, r: float) -> dict:
-    """Post-interference operators for basis pairs (0,0), (0,1), (1,1).
+def _protocol_states(hybrid: HybridType, alpha: float, r: float) -> tuple:
+    """Pre-measurement kets Psi_0, Psi_1 for the logical inputs |0_L>, |1_L>.
 
-    The result is exact and backend-free: beam splitting acts through
-    structural identities (coherent pairs stay coherent; photonic pairs are
-    rotated within photon-number sectors).
+    Loss is a beam splitter onto one vacuum environment mode per channel
+    mode, so each state stays a ket; the environment is traced out by the
+    contraction.  The result is exact and backend-free: beam splitting
+    acts through structural identities (coherent pairs stay coherent;
+    photonic pairs are rotated within photon-number sectors).
     """
     loss = LossParameter(r)
     basis = DynamicBasis(alpha, loss)
@@ -110,18 +113,15 @@ def _protocol_states(hybrid: HybridType, alpha: float, r: float) -> dict:
         + photonic_modes(hybrid, "c")
         + (coherent_mode("c"),)
     )
-    rho_ch = damp_modes(ideal_channel(hybrid, alpha).dm(), ch_modes, loss)
-    kets = {
-        bit: logical_ket(hybrid, bit, basis, "a", coh_scale=scale) for bit in (0, 1)
-    }
-    out = {}
-    for x, y in ((0, 0), (0, 1), (1, 1)):
-        rho = kets[x].outer(kets[y]).tensor(rho_ch)
+    channel = dilate(ideal_channel(hybrid, alpha), ch_modes, loss)
+    out = []
+    for bit in (0, 1):
+        psi = logical_ket(hybrid, bit, basis, "a", coh_scale=scale).tensor(channel)
         for pm, am in zip(photonic_modes(hybrid, "b"), photonic_modes(hybrid, "a")):
-            rho = apply_beam_splitter(rho, pm, am)
-        rho = apply_beam_splitter(rho, "A", "B")
-        out[(x, y)] = rho.canonicalized()
-    return out
+            psi = apply_beam_splitter(psi, pm, am)
+        psi = apply_beam_splitter(psi, "A", "B")
+        out.append(psi.canonicalized())
+    return tuple(out)
 
 
 def _joint_projector(hybrid: HybridType, label: OutcomeLabel):
@@ -166,9 +166,10 @@ def outcome_tensors(
 ) -> tuple:
     """All joint-outcome tensors for one parameter point, outcome-ordered."""
     bob = _bob_modes(hybrid)
+    psi = _protocol_states(hybrid, alpha, r)
     contractions = {
-        xy: Contraction(st, bob, backend)
-        for xy, st in _protocol_states(hybrid, alpha, r).items()
+        (x, y): Contraction(psi[x], psi[y], bob, backend)
+        for x, y in ((0, 0), (0, 1), (1, 1))
     }
     basis = DynamicBasis(alpha, LossParameter(r))
     bob_kets = {bit: logical_ket(hybrid, bit, basis, "c") for bit in (0, 1)}

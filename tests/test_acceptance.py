@@ -8,8 +8,6 @@ then asserts. Tolerances are pinned here and must not be loosened.
 import math
 import time
 
-import pytest
-
 from hybrid_teleport import formulas
 from hybrid_teleport.cli import SweepConfig, run_sweep
 from hybrid_teleport.crossval import (

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from hybrid_teleport import cli
+from hybrid_teleport import cli, protocol
 from hybrid_teleport.cli import (
     CSV_HEADER,
     ConfigError,
@@ -214,6 +214,16 @@ class TestExitCodes:
         code = main(["--type", "II", "--alpha", "2"])
         assert code == EXIT_NUMERIC
         assert "numeric error" in capsys.readouterr().err
+
+    def test_non_finite_result_is_numeric_error(self, monkeypatch, capsys):
+        monkeypatch.setattr(protocol, "average_fidelity", lambda *a, **k: math.nan)
+        code = main(["--type", "II", "--alpha", "1.5", "--r-min", "0.3",
+                     "--r-max", "0.3", "--engine", "first-principles-coherent"])
+        captured = capsys.readouterr()
+        assert code == EXIT_NUMERIC
+        assert captured.out == ""
+        assert "avg_fidelity" in captured.err
+        assert "type=II alpha=1.5 r=0.3" in captured.err
 
 
 class TestEntryPoint:

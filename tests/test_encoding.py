@@ -144,22 +144,21 @@ class TestIdealChannel:
     def test_marginal_is_maximally_mixed_on_logical_space(self, hybrid, alpha=1.1):
         # tracing Bob's half against the two logical kets gives weight 1/2 each
         psi = ideal_channel(hybrid, alpha)
-        rho = psi.dm()
         basis = lossless_basis(alpha)
         for bit in (0, 1):
             bob = logical_ket(hybrid, bit, basis, slot="c")
             other = logical_ket(hybrid, 1 - bit, basis, slot="c")
             # <bit| Tr_b rho |bit> = 1/2, cross terms vanish
-            val = _bob_sandwich(rho, bob, bob)
-            cross = _bob_sandwich(rho, bob, other)
+            val = _bob_sandwich(psi, bob, bob)
+            cross = _bob_sandwich(psi, bob, other)
             assert math.isclose(val.real, 0.5, rel_tol=1e-12)
             assert abs(cross) < 1e-12
 
 
-def _bob_sandwich(rho, left, right):
-    """<left| Tr_sender(rho) |right>."""
+def _bob_sandwich(psi, left, right):
+    """<left| Tr_sender(|psi><psi|) |right>."""
     trace = ModeProjector(((),))
-    _, reduced = Contraction(rho, left.layout.names, COHERENT_ALGEBRA).outcome(trace)
+    _, reduced = Contraction(psi, psi, left.layout.names, COHERENT_ALGEBRA).outcome(trace)
     return reduced.matrix_element(left, right, COHERENT_ALGEBRA)
 
 

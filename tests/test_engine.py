@@ -32,7 +32,6 @@ from hybrid_teleport.engine import (
     NumberFilter,
     Role,
     TermSum,
-    VACUUM,
     apply_beam_splitter,
     apply_filter,
     default_cutoff,
@@ -301,7 +300,12 @@ class TestSums:
     def test_partial_trace_reduces(self):
         lay, plus, minus = self._qubit_pair()
         rho = plus.dm().scaled(0.25) + minus.dm().scaled(0.25)
-        prob, red = Contraction(rho, ("p",), COHERENT_ALGEBRA).outcome(TRACE)
+        # the mixture's contraction is the sum of its components', by linearity
+        (p_plus, red_plus), (p_minus, red_minus) = (
+            Contraction(psi, psi, ("p",), COHERENT_ALGEBRA).outcome(TRACE)
+            for psi in (plus.scaled(0.5), minus.scaled(0.5))
+        )
+        prob, red = p_plus + p_minus, red_plus + red_minus
         assert red.layout.names == ("p",)
         total = rho.trace(COHERENT_ALGEBRA)
         assert math.isclose(red.trace(COHERENT_ALGEBRA).real, total.real, rel_tol=1e-12)
@@ -352,8 +356,22 @@ class TestContraction:
         ("p", "q", "C"), (2, 2, 20), (Role.PHOTONIC, Role.PHOTONIC, Role.COHERENT)
     )
 
-    def _rho(self):
-        psi = KetSum(
+    BRANCHES = {
+        # every branch names every traced mode
+        "full": (
+            (("q", FILTER_SINGLE), ("C", FILTER_ODD)),
+            (("q", FILTER_VACUUM), ("C", FILTER_EVEN_GE2)),
+        ),
+        # the first branch leaves C to the plain trace
+        "partial": (
+            (("q", FILTER_SINGLE),),
+            (("q", FILTER_VACUUM), ("C", FILTER_ODD)),
+        ),
+        "trace": ((),),
+    }
+
+    def _psi(self):
+        return KetSum(
             self.LAYOUT,
             [
                 (0.6, (FockVector((1.0, 1.0)), fock(1), Coherent(0.9))),
@@ -362,7 +380,18 @@ class TestContraction:
                 (0.3, (fock(1), fock(2), Coherent(0.2))),
             ],
         )
-        return psi.dm()
+
+    def _phi(self):
+        # a different ket: |psi><phi| has the shape of basis pair (0, 1)
+        return KetSum(
+            self.LAYOUT,
+            [
+                (0.5, (FockVector((1.0, 0.8)), fock(1), Coherent(0.8))),
+                (0.6, (fock(0), FockVector((0.4, 0.6)), Coherent(-0.9))),
+                (0.3, (fock(1), fock(0), Coherent(0.4 - 0.2j))),
+                (0.2, (fock(0), fock(2), Coherent(0.1j))),
+            ],
+        )
 
     def _oracle(self, rho, proj):
         dp, dq, dc = (c + 1 for c in self.LAYOUT.cutoffs)
@@ -374,26 +403,17 @@ class TestContraction:
 
     @pytest.mark.parametrize("backend", BACKENDS, ids=lambda b: b.kind)
     @pytest.mark.parametrize(
-        "branches",
-        [
-            # every branch names every traced mode
-            (
-                (("q", FILTER_SINGLE), ("C", FILTER_ODD)),
-                (("q", FILTER_VACUUM), ("C", FILTER_EVEN_GE2)),
-            ),
-            # the first branch leaves C to the plain trace
-            (
-                (("q", FILTER_SINGLE),),
-                (("q", FILTER_VACUUM), ("C", FILTER_ODD)),
-            ),
-            ((),),
-        ],
-        ids=["full", "partial", "trace"],
+        "case", list(BRANCHES) + [name + "-cross" for name in BRANCHES]
     )
-    def test_matches_dense_oracle(self, backend, branches):
-        rho = self._rho()
+    def test_matches_dense_oracle(self, backend, case):
+        # "-cross" cases contract |psi><phi| with phi != psi
+        name, _, cross = case.partition("-")
+        branches = self.BRANCHES[name]
+        ket = self._psi()
+        bra = self._phi() if cross else ket
+        rho = ket.outer(bra)
         proj = ModeProjector(branches)
-        prob, reduced = Contraction(rho, ("p",), backend).outcome(proj)
+        prob, reduced = Contraction(ket, bra, ("p",), backend).outcome(proj)
         want_prob, want_reduced = self._oracle(rho, proj)
         assert reduced.layout.names == ("p",)
         assert abs(prob - want_prob) < 1e-10

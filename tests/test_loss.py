@@ -7,20 +7,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hybrid_teleport.encoding import HybridType, ideal_channel
 from hybrid_teleport.engine import (
     COHERENT_ALGEBRA,
     Coherent,
+    Contraction,
     FockVector,
     KetSum,
     ModeLayout,
+    ModeProjector,
     Role,
     TermSum,
     default_cutoff,
-    fock,
     ket_vector,
     trace_distance,
 )
-from hybrid_teleport.loss import LossParameter, damp_mode, damp_modes, pm_block
+from hybrid_teleport.loss import (
+    LossParameter,
+    damp_mode,
+    damp_modes,
+    decohered_channel,
+    dilate,
+    pm_block,
+)
 
 
 def kraus_ops(t: float, dim: int) -> list:
@@ -162,6 +171,26 @@ class TestDampModes:
         ab = damp_modes(rho, ("p", "C"), loss)
         ba = damp_modes(rho, ("C", "p"), loss)
         assert trace_distance(ab, ba, COHERENT_ALGEBRA) < 1e-12
+
+
+class TestDilation:
+    @pytest.mark.parametrize("r", [0.0, 0.3, 0.9])
+    @pytest.mark.parametrize("alpha", [0.5, 2.0])
+    @pytest.mark.parametrize("hybrid", [HybridType.TYPE_I, HybridType.TYPE_II])
+    def test_beam_splitter_loss_matches_channel_oracles(self, hybrid, alpha, r):
+        # tracing the environment out of the dilated ket is the loss channel:
+        # compare with the Kraus sum and with the closed-form damped channel
+        loss = LossParameter(r)
+        psi = ideal_channel(hybrid, alpha)
+        names = psi.layout.names
+        wide = dilate(psi, names, loss)
+        _, rho = Contraction(wide, wide, names, COHERENT_ALGEBRA).outcome(
+            ModeProjector(((),))
+        )
+        kraus = damp_modes(psi.dm(), names, loss)
+        closed = decohered_channel(hybrid, alpha, loss)
+        assert trace_distance(rho, kraus, COHERENT_ALGEBRA) < 1e-10
+        assert trace_distance(rho, closed, COHERENT_ALGEBRA) < 1e-10
 
 
 class TestPmBlock:

@@ -2,9 +2,8 @@
 
 import math
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from hybrid_teleport.encoding import HybridType, correction_is_relabel
@@ -113,9 +112,9 @@ class TestCorrectionTables:
                 assert flag == (hybrid is HybridType.TYPE_II and "Z" in corr)
 
 
-def outcome_probability(rho, proj):
-    """Tr[P rho] with every mode traced out."""
-    return Contraction(rho, (), COHERENT_ALGEBRA).outcome(proj)[0].real
+def outcome_probability(psi, proj):
+    """Tr[P |psi><psi|] with every mode traced out."""
+    return Contraction(psi, psi, (), COHERENT_ALGEBRA).outcome(proj)[0].real
 
 
 class TestProjectors:
@@ -134,14 +133,13 @@ class TestProjectors:
                 (0.6, (Coherent(-g), Coherent(0.9))),
             ],
         )
-        rho = psi.dm()
         total = sum(
             outcome_probability(
-                rho, projector(ProjectorSpec(MeasurementFamily.B_ALPHA, o))
+                psi, projector(ProjectorSpec(MeasurementFamily.B_ALPHA, o))
             )
             for o in ALPHA_OUTCOME_ORDER
         )
-        assert math.isclose(total, rho.trace(COHERENT_ALGEBRA).real, rel_tol=1e-10)
+        assert math.isclose(total, psi.dm().trace(COHERENT_ALGEBRA).real, rel_tol=1e-10)
 
     @pytest.mark.parametrize("hybrid", HYBRIDS)
     def test_s_family_partition_of_identity(self, hybrid):
@@ -169,21 +167,20 @@ class TestProjectors:
                     (0.5, (fock(0), fock(1), fock(0), fock(1))),
                 ],
             )
-        rho = psi.dm()
         outcomes = {"1", "2", "e", "other"}
         total = sum(
-            outcome_probability(rho, projector(ProjectorSpec(fam, o)))
+            outcome_probability(psi, projector(ProjectorSpec(fam, o)))
             for o in outcomes
         )
-        assert math.isclose(total, rho.trace(COHERENT_ALGEBRA).real, rel_tol=1e-10)
+        assert math.isclose(total, psi.dm().trace(COHERENT_ALGEBRA).real, rel_tol=1e-10)
 
     def test_type_ii_bell_clicks(self):
         # the two decodable photon outcomes flag exactly one photon total
         lay = ModeLayout(("a", "b"), (3, 3), (Role.PHOTONIC, Role.PHOTONIC))
         fam = MeasurementFamily.BS_TYPE_II
-        one_zero = KetSum(lay, [(1.0, (fock(1), fock(0)))]).dm()
-        zero_one = KetSum(lay, [(1.0, (fock(0), fock(1)))]).dm()
-        both = KetSum(lay, [(1.0, (fock(1), fock(1)))]).dm()
+        one_zero = KetSum(lay, [(1.0, (fock(1), fock(0)))])
+        zero_one = KetSum(lay, [(1.0, (fock(0), fock(1)))])
+        both = KetSum(lay, [(1.0, (fock(1), fock(1)))])
         p1 = projector(ProjectorSpec(fam, "1"))
         p2 = projector(ProjectorSpec(fam, "2"))
         po = projector(ProjectorSpec(fam, "other"))
@@ -205,7 +202,7 @@ class TestProjectors:
         # outcome "e" is the double-vacuum record; a vacuum pair hits it
         # with certainty
         lay = self._balpha_layout(6)
-        vac = KetSum(lay, [(1.0, (Coherent(0.0), Coherent(0.0)))]).dm()
+        vac = KetSum(lay, [(1.0, (Coherent(0.0), Coherent(0.0)))])
         pe = projector(ProjectorSpec(MeasurementFamily.B_ALPHA, "e"))
         assert outcome_probability(vac, pe) == pytest.approx(1.0)
 

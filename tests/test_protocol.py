@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hybrid_teleport import formulas
-from hybrid_teleport.encoding import BlochAngles, DynamicBasis, HybridType, logical_ket
+from hybrid_teleport.encoding import BlochAngles, HybridType
 from hybrid_teleport.engine import COHERENT_ALGEBRA, TRUNCATED_FOCK, trace_distance
 from hybrid_teleport.loss import LossParameter
 from hybrid_teleport.measurement import FAIL, success_outcomes
@@ -155,23 +155,25 @@ class TestAverages:
         assert abs(f_sim - f_closed) < 1e-8
         assert abs(p_sim - p_closed) < 1e-8
 
+    @pytest.mark.parametrize("hybrid", HYBRIDS)
     @given(
         st.floats(math.log(0.1), math.log(50.0)).map(math.exp),
         st.floats(0.0, 0.98),
     )
     @example(20.0, 0.3)
+    @example(21.3, 0.3)
     @example(50.0, 0.98)
     @settings(max_examples=20, deadline=None)
-    def test_type_ii_agrees_with_closed_forms_over_cli_range(self, alpha, r):
+    def test_agrees_with_closed_forms_over_cli_range(self, hybrid, alpha, r):
         # at large alpha the contraction and loss factors pair an underflowing
         # Gaussian with an overflowing sinh/cosh/exp unless they share one
         # exponent
         loss = LossParameter(r)
         quad = SphereQuadrature(8, 16)
-        f_sim = average_fidelity(HybridType.TYPE_II, alpha, loss, quad)
-        p_sim = average_success(HybridType.TYPE_II, alpha, loss, quad)
-        f_closed = formulas.average_fidelity_quadrature(alpha, loss.t, quad)
-        p_closed = formulas.success_probability(HybridType.TYPE_II, alpha, loss.t)
+        f_sim = average_fidelity(hybrid, alpha, loss, quad)
+        p_sim = average_success(hybrid, alpha, loss, quad)
+        f_closed = formulas.average_fidelity(hybrid, alpha, loss.t, quad)
+        p_closed = formulas.success_probability(hybrid, alpha, loss.t)
         assert abs(f_sim - f_closed) < 1e-6
         assert abs(p_sim - p_closed) < 1e-6
 
