@@ -26,8 +26,8 @@ CLASSICAL_LIMIT = 2.0 / 3.0
 FOCK_ALPHA_LIMIT = 2.0
 
 
-class ConfigError(ValueError):
-    """Invalid sweep configuration."""
+class ConfigError(ValueError, argparse.ArgumentTypeError):
+    """Invalid sweep configuration; argparse prints it for a bad flag value."""
 
 
 @dataclass(frozen=True)
@@ -46,6 +46,10 @@ class SweepConfig:
     fmt: str = "csv"
     crossval: bool = False
     tolerance: float = 0.0
+
+    def __post_init__(self):
+        # --alpha arrives as a list (nargs="+"); the field stays a tuple
+        object.__setattr__(self, "alphas", tuple(self.alphas))
 
     def validate(self) -> "SweepConfig":
         if not self.types:
@@ -151,31 +155,12 @@ def config_from_sources(args: argparse.Namespace) -> SweepConfig:
                 raise
             except ValueError as exc:
                 raise ConfigError(f"bad value for {key!r}: {exc}") from exc
+    # every flag defaults to None, meaning "not given"
     overrides = {}
-    if args.type is not None:
-        overrides["types"] = _parse_types(args.type)
-    if args.alpha is not None:
-        overrides["alphas"] = tuple(args.alpha)
-    if args.r_min is not None:
-        overrides["r_min"] = args.r_min
-    if args.r_max is not None:
-        overrides["r_max"] = args.r_max
-    if args.r_step is not None:
-        overrides["r_step"] = args.r_step
-    if args.engine is not None:
-        overrides["engine"] = args.engine
-    if args.quad_u is not None:
-        overrides["quad_u"] = args.quad_u
-    if args.quad_v is not None:
-        overrides["quad_v"] = args.quad_v
-    if args.out is not None:
-        overrides["out"] = args.out
-    if args.format is not None:
-        overrides["fmt"] = args.format
-    if args.crossval:
-        overrides["crossval"] = True
-    if args.tolerance is not None:
-        overrides["tolerance"] = args.tolerance
+    for key, (field_name, _) in _FILE_KEYS.items():
+        value = getattr(args, key.replace("-", "_"))
+        if value is not None:
+            overrides[field_name] = value
     return replace(config, **overrides).validate()
 
 
@@ -283,7 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
             "the closed forms against the first-principles engine."
         ),
     )
-    parser.add_argument("--type", choices=("I", "II", "both"), default=None,
+    parser.add_argument("--type", type=_parse_types, default=None,
+                        metavar="{I,II,both}",
                         help="hybrid type to sweep (default both)")
     parser.add_argument("--alpha", type=float, nargs="+", default=None,
                         metavar="A", help="coherent amplitudes (default 1 2 5)")
@@ -300,7 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="output path (default stdout)")
     parser.add_argument("--format", choices=("csv", "json"), default=None,
                         help="output format (default csv)")
-    parser.add_argument("--crossval", action="store_true",
+    parser.add_argument("--crossval", action="store_const", const=True,
+                        default=None,
                         help="run the cross-validation suite instead of a sweep")
     parser.add_argument("--tolerance", type=float, default=None, metavar="TOL",
                         help="override every cross-validation tolerance")

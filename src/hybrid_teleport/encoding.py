@@ -30,7 +30,7 @@ from .engine import (
     apply_beam_splitter,
     default_cutoff,
     fock,
-    overlap,
+    overlap_product,
     trace_distance,
 )
 from .loss import LossParameter
@@ -68,12 +68,6 @@ class DynamicBasis:
     @property
     def damped(self) -> float:
         return self.loss.t * self.alpha
-
-    def n_plus(self) -> float:
-        return 1.0 / math.sqrt(2.0 + 2.0 * math.exp(-4.0 * self.damped**2))
-
-    def n_minus(self) -> float:
-        return 1.0 / math.sqrt(2.0 - 2.0 * math.exp(-4.0 * self.damped**2))
 
 
 def photonic_modes(hybrid: HybridType, slot: str) -> tuple:
@@ -161,27 +155,6 @@ def ideal_channel(hybrid: HybridType, alpha: float) -> KetSum:
 
 # ---------------------------------------------------------------------------
 # Bell families
-
-def coherent_bell(kind: str, sign: int, basis: DynamicBasis, modes: tuple, layout: ModeLayout) -> KetSum:
-    """Damped-amplitude coherent Bell state on the two named modes.
-
-    kind "phi": N(|g>|g> + sign |-g>|-g>); kind "psi": N(|g>|-g> + sign |-g>|g>)
-    with g = t*alpha and N the matching damped normalization.
-    """
-    g = basis.damped
-    norm = basis.n_plus() if sign > 0 else basis.n_minus()
-    sub = layout.subset(modes)
-    if kind == "phi":
-        pairs = [((g, g), 1.0), ((-g, -g), float(sign))]
-    elif kind == "psi":
-        pairs = [((g, -g), 1.0), ((-g, g), float(sign))]
-    else:
-        raise ValueError(f"unknown coherent Bell kind {kind!r}")
-    return KetSum(
-        sub,
-        [(norm * c, (Coherent(x), Coherent(y))) for (x, y), c in pairs],
-    )
-
 
 def photonic_bell(hybrid: HybridType, kind: str, sign: int, layout: ModeLayout) -> KetSum:
     """Single-photon-part Bell state on the a/b photonic modes.
@@ -364,15 +337,10 @@ def _partial_inner(bra: KetSum, psi: KetSum, backend: Backend) -> KetSum:
     bra_idx = [lay.index(n) for n in bra.layout.names]
     keep_idx = [i for i in range(len(lay.names)) if lay.names[i] not in bra.layout.names]
     sub = lay.subset(tuple(lay.names[i] for i in keep_idx))
+    bra_cuts = [lay.cutoffs[m] for m in bra_idx]
     terms = []
     for cb, kb in bra.terms:
         for cp, kp in psi.terms:
-            f = cb.conjugate() * cp
-            for pos, m in enumerate(bra_idx):
-                f *= overlap(kb[pos], kp[m], backend, lay.cutoffs[m])
-                if f == 0:
-                    break
-            if f == 0:
-                continue
-            terms.append((f, tuple(kp[i] for i in keep_idx)))
+            f = overlap_product(kb, [kp[m] for m in bra_idx], backend, bra_cuts)
+            terms.append((cb.conjugate() * cp * f, tuple(kp[i] for i in keep_idx)))
     return KetSum(sub, terms)

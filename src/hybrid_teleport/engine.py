@@ -244,6 +244,16 @@ def overlap(bra: LocalKet, ket: LocalKet, backend: Backend, cutoff: int) -> comp
     )
 
 
+def overlap_product(bras, kets, backend: Backend, cutoffs) -> complex:
+    """Prod_m <bras[m]|kets[m]> over paired per-mode factors of two products."""
+    f = 1.0 + 0.0j
+    for bra, ket, cut in zip(bras, kets, cutoffs):
+        f *= overlap(bra, ket, backend, cut)
+        if f == 0:
+            break
+    return f
+
+
 # ---------------------------------------------------------------------------
 # photon-number filters
 
@@ -467,25 +477,11 @@ class KetSum:
         acc = 0.0 + 0.0j
         for cb, kb in self.terms:
             for ck, kk in other.terms:
-                f = cb.conjugate() * ck
-                for m in range(len(cuts)):
-                    f *= overlap(kb[m], kk[m], backend, cuts[m])
-                    if f == 0:
-                        break
-                acc += f
+                acc += cb.conjugate() * ck * overlap_product(kb, kk, backend, cuts)
         return acc
 
     def norm2(self, backend: Backend) -> float:
         return float(self.braket(self, backend).real)
-
-    def map_mode(self, name: str, func: Callable) -> "KetSum":
-        """Apply a per-mode linear map; func(ket) -> [(scalar, ket)]."""
-        m = self.layout.index(name)
-        terms = []
-        for c, kets in self.terms:
-            for s, newk in func(kets[m]):
-                terms.append((c * s, kets[:m] + (newk,) + kets[m + 1 :]))
-        return KetSum(self.layout, terms)
 
     def dm(self) -> "TermSum":
         """Outer product |self><self|."""
@@ -574,35 +570,23 @@ class TermSum:
         cuts = self.layout.cutoffs
         acc = 0.0 + 0.0j
         for c, lefts, rights in self.terms:
-            f = c
-            for m in range(len(cuts)):
-                f *= overlap(rights[m], lefts[m], backend, cuts[m])
-                if f == 0:
-                    break
-            acc += f
+            acc += c * overlap_product(rights, lefts, backend, cuts)
         return acc
 
     def matrix_element(self, bra: KetSum, ket: KetSum, backend: Backend) -> complex:
-        """<bra| self |ket>."""
+        """<bra| self |ket>, as sum_t c_t <bra|L_t> <R_t|ket>."""
         cuts = self.layout.cutoffs
-        nmodes = len(cuts)
         acc = 0.0 + 0.0j
         for c, lefts, rights in self.terms:
-            for cb, kb in bra.terms:
-                left_f = cb.conjugate()
-                for m in range(nmodes):
-                    left_f *= overlap(kb[m], lefts[m], backend, cuts[m])
-                    if left_f == 0:
-                        break
-                if left_f == 0:
-                    continue
-                for ck, kk in ket.terms:
-                    f = c * left_f * ck
-                    for m in range(nmodes):
-                        f *= overlap(rights[m], kk[m], backend, cuts[m])
-                        if f == 0:
-                            break
-                    acc += f
+            left = sum(
+                cb.conjugate() * overlap_product(kb, lefts, backend, cuts)
+                for cb, kb in bra.terms
+            )
+            right = sum(
+                ck * overlap_product(rights, kk, backend, cuts)
+                for ck, kk in ket.terms
+            )
+            acc += c * left * right
         return acc
 
     def expectation(self, psi: KetSum, backend: Backend) -> complex:
@@ -751,10 +735,7 @@ class Contraction:
         kcuts = [lay.cutoffs[i] for i in kidx]
         self.keep_trace = np.array(
             [
-                [
-                    np.prod([overlap(r, l, backend, cut) for l, r, cut in zip(kl, kr, kcuts)])
-                    for kr in self.keep_bras
-                ]
+                [overlap_product(kr, kl, backend, kcuts) for kr in self.keep_bras]
                 for kl in self.keep_kets
             ],
             dtype=complex,
@@ -812,35 +793,23 @@ def gram_eigvals(state: TermSum, backend: Backend) -> np.ndarray:
     Works without materializing the full dense operator, so it stays cheap
     even when the layout's product dimension is huge.
     """
-    lay = state.layout
-    cuts = lay.cutoffs
+    cuts = state.layout.cutoffs
     st = state.canonicalized()
-    keys = {}
-    kets = []
-    for _, lefts, rights in st.terms:
-        for prod in (lefts, rights):
-            key = tuple(ket_key(k) for k in prod)
-            if key not in keys:
-                keys[key] = len(kets)
-                kets.append(prod)
+    # ids alternate left, right per term
+    kets, ids = _distinct(
+        [prod for _, lefts, rights in st.terms for prod in (lefts, rights)],
+        lambda prod: tuple(ket_key(k) for k in prod),
+    )
     n = len(kets)
     if n == 0:
         return np.zeros(0)
     mat = np.zeros((n, n), dtype=complex)
-    for c, lefts, rights in st.terms:
-        i = keys[tuple(ket_key(k) for k in lefts)]
-        j = keys[tuple(ket_key(k) for k in rights)]
-        mat[i, j] += c
+    np.add.at(mat, (ids[0::2], ids[1::2]), [c for c, _, _ in st.terms])
     gram = np.zeros((n, n), dtype=complex)
     for i in range(n):
         for j in range(i, n):
-            f = 1.0 + 0.0j
-            for m in range(len(cuts)):
-                f *= overlap(kets[i][m], kets[j][m], backend, cuts[m])
-                if f == 0:
-                    break
-            gram[i, j] = f
-            gram[j, i] = f.conjugate()
+            gram[i, j] = overlap_product(kets[i], kets[j], backend, cuts)
+            gram[j, i] = gram[i, j].conjugate()
     lam, vec = np.linalg.eigh(gram)
     good = lam > max(1e-12 * max(lam.max(), 1.0), 1e-14)
     w = (vec[:, good] * np.sqrt(lam[good])).conj().T

@@ -11,7 +11,6 @@ catch-all patterns that appear only under loss and always mean failure.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -132,11 +131,6 @@ def s_family(hybrid: HybridType) -> MeasurementFamily:
     if hybrid is HybridType.TYPE_I:
         return MeasurementFamily.BS_TYPE_I
     return MeasurementFamily.BS_TYPE_II
-
-
-def balpha_success_probability(alpha: float, t: float) -> float:
-    """Probability that the coherent-state analyzer does not see vacuum."""
-    return 1.0 - math.exp(-2.0 * (t * alpha) ** 2)
 
 
 @dataclass(frozen=True)

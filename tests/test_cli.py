@@ -4,6 +4,8 @@ import json
 import math
 import subprocess
 import sys
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +30,10 @@ from hybrid_teleport.crossval import CheckResult
 from hybrid_teleport.encoding import HybridType
 
 BOTH = (HybridType.TYPE_I, HybridType.TYPE_II)
+# the default sweep's CSV, as committed for the benchmark
+REFERENCE_CSV = (
+    Path(__file__).resolve().parent.parent / "perfbench" / "reference" / "closed_sweep.csv"
+)
 
 
 def small_config(**kw):
@@ -98,6 +104,36 @@ class TestConfigFile:
         assert cfg.r_max == 0.5
         assert cfg.fmt == "csv"  # CLI flag beats file value
 
+    # config key: (file value, flag argv, field value the flag sets)
+    FLAG_OVER_FILE = {
+        "type": ("I", ["--type", "II"], (HybridType.TYPE_II,)),
+        "alpha": ("1, 2", ["--alpha", "0.5", "1.5"], (0.5, 1.5)),
+        "r-min": ("0.1", ["--r-min", "0.2"], 0.2),
+        "r-max": ("0.5", ["--r-max", "0.4"], 0.4),
+        "r-step": ("0.1", ["--r-step", "0.05"], 0.05),
+        "engine": ("first-principles-coherent", ["--engine", "closed-form"], "closed-form"),
+        "quad-u": ("4", ["--quad-u", "8"], 8),
+        "quad-v": ("4", ["--quad-v", "8"], 8),
+        "out": ("file.csv", ["--out", "flag.csv"], "flag.csv"),
+        "format": ("json", ["--format", "csv"], "csv"),
+        "crossval": ("false", ["--crossval"], True),
+        "tolerance": ("1e-3", ["--tolerance", "1e-6"], 1e-6),
+    }
+
+    @pytest.mark.parametrize("key", list(FLAG_OVER_FILE))
+    def test_flag_beats_file_value(self, tmp_path, key):
+        file_value, flag, want = self.FLAG_OVER_FILE[key]
+        cfg_file = tmp_path / "sweep.cfg"
+        cfg_file.write_text(f"{key} = {file_value}\n")
+        parser = cli.build_parser()
+        from_file = config_from_sources(parser.parse_args(["--config", str(cfg_file)]))
+        got = config_from_sources(parser.parse_args(["--config", str(cfg_file)] + flag))
+        field_name = cli._FILE_KEYS[key][0]
+        assert getattr(from_file, field_name) != want
+        # the flag changes its own field, to the flag's value and type, and nothing else
+        assert got == replace(from_file, **{field_name: want})
+        assert type(getattr(got, field_name)) is type(want)
+
     def test_unknown_key_rejected(self, tmp_path):
         cfg_file = tmp_path / "sweep.cfg"
         cfg_file.write_text("frobnicate = 3\n")
@@ -155,6 +191,11 @@ class TestSweepOutput:
         for a, b in zip(closed, simulated):
             assert abs(a["avg_fidelity"] - b["avg_fidelity"]) < 1e-6
             assert abs(a["avg_success"] - b["avg_success"]) < 1e-6
+
+    def test_default_sweep_matches_reference(self, tmp_path):
+        out = tmp_path / "default.csv"
+        assert main(["--out", str(out)]) == EXIT_OK
+        assert out.read_bytes() == REFERENCE_CSV.read_bytes()
 
     def test_t_column_consistent(self):
         for row in run_sweep(small_config()):

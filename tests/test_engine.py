@@ -322,17 +322,27 @@ class TestSums:
         assert 0.0 < dab <= 1.0 + 1e-12
 
 
+def dense_product(kets, cuts) -> np.ndarray:
+    """Kronecker product of per-mode truncated-Fock vectors (oracle)."""
+    out = np.ones(1, dtype=complex)
+    for k, cut in zip(kets, cuts):
+        out = np.kron(out, ket_vector(k, cut))
+    return out
+
+
+def dense_ket(state: KetSum) -> np.ndarray:
+    """Dense truncated-Fock vector of a ket sum (oracle)."""
+    cuts = state.layout.cutoffs
+    return sum(c * dense_product(kets, cuts) for c, kets in state.terms)
+
+
 def dense_operator(state: TermSum) -> np.ndarray:
     """Dense truncated-Fock matrix of an operator sum (oracle)."""
     cuts = state.layout.cutoffs
-
-    def vec(kets):
-        out = np.ones(1, dtype=complex)
-        for k, cut in zip(kets, cuts):
-            out = np.kron(out, ket_vector(k, cut))
-        return out
-
-    return sum(c * np.outer(vec(l), vec(r).conj()) for c, l, r in state.terms)
+    return sum(
+        c * np.outer(dense_product(l, cuts), dense_product(r, cuts).conj())
+        for c, l, r in state.terms
+    )
 
 
 def dense_projector(layout: ModeLayout, proj: ModeProjector) -> np.ndarray:
@@ -419,3 +429,14 @@ class TestContraction:
         assert abs(prob - want_prob) < 1e-10
         assert 0.0 < prob.real
         assert np.allclose(dense_operator(reduced), want_reduced, atol=1e-10)
+
+    @pytest.mark.parametrize("backend", BACKENDS, ids=lambda b: b.kind)
+    def test_sum_overlaps_match_dense_oracle(self, backend):
+        # braket, trace and matrix_element on multi-term kets, bra != ket
+        psi, phi = self._psi(), self._phi()
+        op = psi.outer(phi) + phi.outer(psi).scaled(0.3j)
+        vpsi, vphi, dense = dense_ket(psi), dense_ket(phi), dense_operator(op)
+        assert abs(phi.braket(psi, backend) - np.vdot(vphi, vpsi)) < 1e-10
+        assert abs(op.trace(backend) - np.trace(dense)) < 1e-10
+        want = np.vdot(vphi, dense @ vpsi)
+        assert abs(op.matrix_element(phi, psi, backend) - want) < 1e-10

@@ -3,8 +3,6 @@
 import math
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from hybrid_teleport.encoding import HybridType, correction_is_relabel
 from hybrid_teleport.engine import (
@@ -24,7 +22,6 @@ from hybrid_teleport.measurement import (
     OutcomeLabel,
     ProjectorSpec,
     S_OUTCOME_ORDER,
-    balpha_success_probability,
     correction_lookup,
     enumerate_outcomes,
     projector,
@@ -206,19 +203,3 @@ class TestProjectors:
         pe = projector(ProjectorSpec(MeasurementFamily.B_ALPHA, "e"))
         assert outcome_probability(vac, pe) == pytest.approx(1.0)
 
-
-class TestBalphaSuccessProbability:
-    def test_zero_at_vacuum(self):
-        assert balpha_success_probability(0.0, 1.0) == 0.0
-
-    def test_value(self):
-        # 1 - exp(-2 alpha^2 t^2) at alpha=1, t=1
-        assert balpha_success_probability(1.0, 1.0) == pytest.approx(
-            1.0 - math.exp(-2.0), rel=1e-14
-        )
-
-    @given(st.floats(0.1, 3.0), st.floats(0.1, 1.0))
-    def test_monotone_in_amplitude(self, alpha, t):
-        assert balpha_success_probability(alpha, t) <= balpha_success_probability(
-            alpha + 0.5, t
-        )
