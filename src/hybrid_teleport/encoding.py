@@ -17,6 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .engine import (
     COHERENT_ALGEBRA,
     Backend,
@@ -193,12 +195,21 @@ def photonic_bell(hybrid: HybridType, kind: str, sign: int, layout: ModeLayout) 
 # ---------------------------------------------------------------------------
 # Pauli corrections
 
+# C|q_L> = sum_p U[p, q] |p_L> for the physical correction C, both types,
+# every loss value: each Pauli maps the logical kets onto +/- each other
+LOGICAL_PAULI = {
+    "I": np.eye(2),
+    "X": np.array([[0.0, 1.0], [1.0, 0.0]]),
+    "Z": np.diag([1.0, -1.0]),
+    "XZ": np.array([[0.0, -1.0], [1.0, 0.0]]),
+}
+
+
 def _parity_flip(ket):
     """(-1)^n on a single mode; sends |g> to |-g>."""
     if isinstance(ket, Coherent):
-        return [(1.0 + 0.0j, Coherent(-ket.amplitude))]
-    flipped = tuple(c if n % 2 == 0 else -c for n, c in enumerate(ket.coeffs))
-    return [(1.0 + 0.0j, FockVector(flipped))]
+        return Coherent(-ket.amplitude)
+    return FockVector(tuple(c if n % 2 == 0 else -c for n, c in enumerate(ket.coeffs)))
 
 
 def _swap01(ket):
@@ -206,8 +217,7 @@ def _swap01(ket):
     if isinstance(ket, Coherent):
         raise ValueError("swap01 is defined on photonic modes only")
     coeffs = ket.coeffs + (0.0,) * max(0, 2 - len(ket.coeffs))
-    swapped = (coeffs[1], coeffs[0]) + coeffs[2:]
-    return [(1.0 + 0.0j, FockVector(swapped))]
+    return FockVector((coeffs[1], coeffs[0]) + coeffs[2:])
 
 
 def apply_correction(
@@ -219,25 +229,30 @@ def apply_correction(
     with the single-photon-part flip |+> <-> |-> (a sign on the V rail for
     type-I, photon-number parity for type-II).  Z for type-I is the
     polarization swap H <-> V; for type-II it is the mathematical relabel
-    |0> <-> |1| on the photonic mode (see correction_is_relabel).
+    |0> <-> |1> on the photonic mode (see correction_is_relabel).  XZ is Z
+    followed by X.  Each one sends a product ket to one product ket, so
+    rho -> C rho C^dag maps every term's left and right product on its own.
     """
-    if pauli == "I":
-        return state
-    if pauli == "XZ":
-        return apply_correction(
-            apply_correction(state, hybrid, "Z", slot), hybrid, "X", slot
-        )
-    coh = coherent_mode(slot)
-    if pauli == "X":
-        out = state.map_mode(coh, _parity_flip)
-        if hybrid is HybridType.TYPE_I:
-            return out.map_mode(slot + "V", _parity_flip)
-        return out.map_mode(slot, _parity_flip)
-    if pauli == "Z":
-        if hybrid is HybridType.TYPE_I:
-            return state.swap_modes(slot + "H", slot + "V")
-        return state.map_mode(slot, _swap01)
-    raise ValueError(f"unknown Pauli label {pauli!r}")
+    if pauli not in LOGICAL_PAULI:
+        raise ValueError(f"unknown Pauli label {pauli!r}")
+    lay = state.layout
+    coh = lay.index(coherent_mode(slot))
+    phot = [lay.index(n) for n in photonic_modes(hybrid, slot)]
+    flip = phot[-1]  # the V rail (type-I) or the photonic mode (type-II)
+
+    def corrected(kets: tuple) -> tuple:
+        kets = list(kets)
+        if "Z" in pauli:
+            if hybrid is HybridType.TYPE_I:
+                kets[phot[0]], kets[phot[1]] = kets[phot[1]], kets[phot[0]]
+            else:
+                kets[flip] = _swap01(kets[flip])
+        if "X" in pauli:
+            kets[coh] = _parity_flip(kets[coh])
+            kets[flip] = _parity_flip(kets[flip])
+        return tuple(kets)
+
+    return TermSum(lay, [(c, corrected(l), corrected(r)) for c, l, r in state.terms])
 
 
 def correction_is_relabel(hybrid: HybridType, pauli: str) -> bool:

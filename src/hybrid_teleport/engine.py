@@ -180,11 +180,23 @@ TRUNCATED_FOCK = Backend("fock")
 
 @lru_cache(maxsize=4096)
 def _coherent_coeffs(amplitude: complex, cutoff: int) -> tuple:
-    """Fock coefficients of |amplitude> up to the cutoff, plus tail weight."""
-    out = np.empty(cutoff + 1, dtype=complex)
-    out[0] = math.exp(-0.5 * abs(amplitude) ** 2)
-    for n in range(1, cutoff + 1):
-        out[n] = out[n - 1] * amplitude / math.sqrt(n)
+    """Fock coefficients of |amplitude> up to the cutoff, plus tail weight.
+
+    Magnitudes are exp(-|a|^2/2 + n log|a| - lgamma(n+1)/2), evaluated in
+    log space: the direct recursion from exp(-|a|^2/2) underflows to zero
+    for |a| above about 38.6.
+    """
+    out = np.zeros(cutoff + 1, dtype=complex)
+    mag = abs(amplitude)
+    if mag == 0.0:
+        out[0] = 1.0
+    else:
+        n = np.arange(cutoff + 1)
+        lgam = np.array([math.lgamma(k + 1.0) for k in range(cutoff + 1)])
+        # powers of the unit phase by repeated product, exact for real amplitudes
+        phase = np.ones(cutoff + 1, dtype=complex)
+        phase[1:] = np.cumprod(np.full(cutoff, amplitude / mag))
+        out[:] = np.exp(-0.5 * mag * mag + n * math.log(mag) - 0.5 * lgam) * phase
     tail = 1.0 - float(np.sum(np.abs(out) ** 2))
     return tuple(out), tail
 
@@ -592,37 +604,6 @@ class TermSum:
     def expectation(self, psi: KetSum, backend: Backend) -> complex:
         return self.matrix_element(psi, psi, backend)
 
-    def map_mode(self, name: str, func: Callable) -> "TermSum":
-        """Conjugate by a per-mode linear map: rho -> C rho C^dag."""
-        m = self.layout.index(name)
-        terms = []
-        for c, lefts, rights in self.terms:
-            lparts = func(lefts[m])
-            rparts = func(rights[m])
-            for sl, kl in lparts:
-                for sr, kr in rparts:
-                    terms.append(
-                        (
-                            c * sl * sr.conjugate(),
-                            lefts[:m] + (kl,) + lefts[m + 1 :],
-                            rights[:m] + (kr,) + rights[m + 1 :],
-                        )
-                    )
-        return TermSum(self.layout, terms)
-
-    def swap_modes(self, name_a: str, name_b: str) -> "TermSum":
-        """Exchange the kets held by two modes (a mathematical relabel)."""
-        i = self.layout.index(name_a)
-        j = self.layout.index(name_b)
-        terms = []
-        for c, lefts, rights in self.terms:
-            ll, rr = list(lefts), list(rights)
-            ll[i], ll[j] = ll[j], ll[i]
-            rr[i], rr[j] = rr[j], rr[i]
-            terms.append((c, tuple(ll), tuple(rr)))
-        return TermSum(self.layout, terms)
-
-
 
 def apply_beam_splitter(
     state: KetSum, mode_i: str, mode_j: str, theta: float = BS_THETA
@@ -681,12 +662,12 @@ def _distinct(items: list, key: Callable) -> tuple:
 class Contraction:
     """Projected partial trace Tr_traced[P |ket><bra| P] of one ket pair, any P.
 
-    Every mode outside keep is traced.  A traced mode that a branch of P
-    does not name gets the plain trace (FILTER_ALL), so ModeProjector(((),))
-    gives the partial trace itself; so do the environment modes a dilated
-    loss channel leaks into.  Branches must be mutually orthogonal: the
-    cross terms Tr[P_i rho P_j] then vanish, leaving the sum over i of
-    Tr_traced[P_i rho].
+    Every mode outside keep is traced.  A traced mode that no projector
+    names gets the plain trace (FILTER_ALL), so ModeProjector(((),)), or no
+    projector at all, gives the partial trace itself; so do the environment
+    modes a dilated loss channel leaks into.  Branches must be mutually
+    orthogonal: the cross terms Tr[P_i rho P_j] then vanish, leaving the sum
+    over i of Tr_traced[P_i rho].
 
     Built once per pair and reused for every projector.  Per traced mode it
     gathers the distinct ket and bra factors and each term's factor id, so a
@@ -742,6 +723,7 @@ class Contraction:
         ).reshape(len(self.keep_kets), len(self.keep_bras))
         self._grids = {}
         self._plain_grids = {}
+        self._sums = {}
 
     def _grid(self, pos: int, filt: NumberFilter) -> np.ndarray:
         """Per-term-pair <bra|filt|ket> on the traced mode at position pos."""
@@ -766,19 +748,37 @@ class Contraction:
             self._plain_grids[names] = grid
         return grid
 
-    def _branch_values(self, proj: ModeProjector) -> np.ndarray:
-        """Per-term-pair contraction factor, summed over the projector's branches."""
-        total = np.zeros(self.coeff.shape, dtype=complex)
-        for branch in proj.branches:
-            acc = self._plain(frozenset(self.traced).difference(n for n, _ in branch))
-            for name, filt in branch:
-                acc = acc * self._grid(self.traced[name], filt)
-            total += acc
+    def _projector_sum(self, proj: ModeProjector, modes: frozenset) -> np.ndarray:
+        """Per-term-pair factor of one projector on its modes, summed over branches.
+
+        A mode in modes that a branch leaves unnamed gets its plain trace.
+        """
+        total = self._sums.get(proj)
+        if total is None:
+            total = np.zeros(self.coeff.shape, dtype=complex)
+            for branch in proj.branches:
+                acc = self._plain(modes.difference(n for n, _ in branch))
+                for name, filt in branch:
+                    acc = acc * self._grid(self.traced[name], filt)
+                total += acc
+            self._sums[proj] = total
         return total
 
-    def outcome(self, proj: ModeProjector) -> tuple:
-        """(Tr[P rho], unnormalized TermSum on the kept modes)."""
-        weights = self.ket_sum @ (self.coeff * self._branch_values(proj)) @ self.bra_sum
+    def outcome(self, *projectors: ModeProjector) -> tuple:
+        """(Tr[P rho], unnormalized TermSum on the kept modes), P the product.
+
+        The projectors must act on disjoint modes: each one's branch sum is
+        then taken once on its own modes, and P is their product (the
+        Cartesian product of their branches).  The traced modes no
+        projector names get the plain trace once.
+        """
+        named = [frozenset(n for branch in p.branches for n, _ in branch) for p in projectors]
+        if sum(map(len, named)) != len(frozenset().union(*named)):
+            raise ValueError("projectors must act on disjoint modes")
+        values = self._plain(frozenset(self.traced).difference(*named))
+        for proj, modes in zip(projectors, named):
+            values = values * self._projector_sum(proj, modes)
+        weights = self.ket_sum @ (self.coeff * values) @ self.bra_sum
         prob = complex(np.sum(weights * self.keep_trace))
         terms = [
             (weights[p, q], self.keep_kets[p], self.keep_bras[q])

@@ -19,6 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from .encoding import (
+    LOGICAL_PAULI,
     BlochAngles,
     DynamicBasis,
     HybridType,
@@ -33,16 +34,15 @@ from .engine import (
     COHERENT_ALGEBRA,
     Backend,
     Contraction,
-    ModeProjector,
     TermSum,
     apply_beam_splitter,
 )
 from .loss import LossParameter, dilate
 from .measurement import (
     FAIL,
+    MeasurementFamily,
     OutcomeLabel,
     ProjectorSpec,
-    MeasurementFamily,
     correction_lookup,
     enumerate_outcomes,
     projector,
@@ -90,10 +90,6 @@ class SphereQuadrature:
 DEFAULT_QUADRATURE = SphereQuadrature()
 
 
-def _bob_modes(hybrid: HybridType) -> tuple:
-    return photonic_modes(hybrid, "c") + (coherent_mode("c"),)
-
-
 @lru_cache(maxsize=64)
 def _protocol_states(hybrid: HybridType, alpha: float, r: float) -> tuple:
     """Pre-measurement kets Psi_0, Psi_1 for the logical inputs |0_L>, |1_L>.
@@ -124,107 +120,76 @@ def _protocol_states(hybrid: HybridType, alpha: float, r: float) -> tuple:
     return tuple(out)
 
 
-def _joint_projector(hybrid: HybridType, label: OutcomeLabel):
-    """Single ModeProjector covering both analyzers' modes."""
-    s_proj = projector(ProjectorSpec(s_family(hybrid), label.s_outcome))
-    a_proj = projector(ProjectorSpec(MeasurementFamily.B_ALPHA, label.alpha_outcome))
-    branches = tuple(
-        sb + ab for sb in s_proj.branches for ab in a_proj.branches
-    )
-    return ModeProjector(branches)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OutcomeTensors:
-    """Basis-pair-resolved data for one joint outcome.
+    """Basis-pair-resolved data for one joint outcome, in the logical basis.
 
     prob[x, y] is the unnormalized weight of the outcome for the input
-    operator |x_L><y_L|; states maps (x, y) to the corrected (still
-    unnormalized) receiver operator; fid[x, y, p, q] = <p_L| state_xy |q_L>.
-    Failure outcomes carry probabilities only.
+    operator |x_L><y_L|; states maps (x, y) to the uncorrected (still
+    unnormalized) receiver operator rho_xy; fid[x, y, p, q] is
+    <p_L| C rho_xy C^dag |q_L> for the outcome's correction C.  Failure
+    outcomes carry probabilities only.  The arrays are read-only.
     """
 
     label: OutcomeLabel
     correction: str
-    prob: tuple
-    states: tuple
-    fid: tuple
-
-    def prob_array(self) -> np.ndarray:
-        return np.array(self.prob, dtype=complex)
-
-    def fid_array(self):
-        return None if self.fid is None else np.array(self.fid, dtype=complex)
-
-    def state(self, x: int, y: int) -> TermSum:
-        return self.states[x][y] if self.states is not None else None
+    prob: np.ndarray
+    states: dict
+    fid: np.ndarray
 
 
 @lru_cache(maxsize=256)
 def outcome_tensors(
     hybrid: HybridType, alpha: float, r: float, backend: Backend
 ) -> tuple:
-    """All joint-outcome tensors for one parameter point, outcome-ordered."""
-    bob = _bob_modes(hybrid)
-    psi = _protocol_states(hybrid, alpha, r)
-    contractions = {
-        (x, y): Contraction(psi[x], psi[y], bob, backend)
-        for x, y in ((0, 0), (0, 1), (1, 1))
-    }
+    """All joint-outcome tensors for one parameter point, outcome-ordered.
+
+    Every Pauli correction C maps Bob's logical kets onto +/- each other
+    (LOGICAL_PAULI), so fid = U L U^dag with L[p, q] = <p_L|rho_xy|q_L>
+    taken on the uncorrected state: no correction is applied here.
+    """
+    labels = enumerate_outcomes(hybrid)
+    corrections = [correction_lookup(hybrid, label) for label in labels]
+    analyzers = [
+        (
+            projector(ProjectorSpec(s_family(hybrid), label.s_outcome)),
+            projector(ProjectorSpec(MeasurementFamily.B_ALPHA, label.alpha_outcome)),
+        )
+        for label in labels
+    ]
     basis = DynamicBasis(alpha, LossParameter(r))
-    bob_kets = {bit: logical_ket(hybrid, bit, basis, "c") for bit in (0, 1)}
+    bob_kets = [logical_ket(hybrid, bit, basis, "c") for bit in (0, 1)]
+    psi = _protocol_states(hybrid, alpha, r)
+
+    prob = np.zeros((len(labels), 2, 2), dtype=complex)
+    logical = np.zeros((len(labels), 2, 2, 2, 2), dtype=complex)
+    states = [{} for _ in labels]
+    for x, y in ((0, 0), (0, 1), (1, 1)):
+        contraction = Contraction(psi[x], psi[y], bob_kets[0].layout.names, backend)
+        for n, projs in enumerate(analyzers):
+            prob[n, x, y], rho = contraction.outcome(*projs)
+            if corrections[n] == FAIL:
+                continue
+            states[n][x, y] = rho
+            logical[n, x, y] = [
+                [rho.matrix_element(bra, ket, backend) for ket in bob_kets]
+                for bra in bob_kets
+            ]
+    # rho_10 = rho_01^dag
+    prob[:, 1, 0] = prob[:, 0, 1].conj()
+    logical[:, 1, 0] = logical[:, 0, 1].conj().swapaxes(-1, -2)
+    prob.setflags(write=False)
 
     out = []
-    for label in enumerate_outcomes(hybrid):
-        proj = _joint_projector(hybrid, label)
-        correction = correction_lookup(hybrid, label)
-        prob = np.zeros((2, 2), dtype=complex)
-        raw = {}
-        for (x, y), contraction in contractions.items():
-            p, ts = contraction.outcome(proj)
-            prob[x, y] = p
-            raw[(x, y)] = ts
-        prob[1, 0] = np.conj(prob[0, 1])
-        raw[(1, 0)] = raw[(0, 1)].adjoint()
+    for n, (label, correction) in enumerate(zip(labels, corrections)):
         if correction == FAIL:
-            out.append(
-                OutcomeTensors(
-                    label,
-                    correction,
-                    tuple(map(tuple, prob)),
-                    None,
-                    None,
-                )
-            )
+            out.append(OutcomeTensors(label, correction, prob[n], None, None))
             continue
-        corrected = {}
-        for xy, ts in raw.items():
-            corrected[xy] = apply_correction(ts, hybrid, correction).canonicalized()
-        fid = np.zeros((2, 2, 2, 2), dtype=complex)
-        for (x, y), ts in corrected.items():
-            for p in (0, 1):
-                for q in (0, 1):
-                    fid[x, y, p, q] = ts.matrix_element(
-                        bob_kets[p], bob_kets[q], backend
-                    )
-        out.append(
-            OutcomeTensors(
-                label,
-                correction,
-                tuple(map(tuple, prob)),
-                (
-                    (corrected[(0, 0)], corrected[(0, 1)]),
-                    (corrected[(1, 0)], corrected[(1, 1)]),
-                ),
-                tuple(
-                    tuple(
-                        tuple(tuple(fid[x, y, p, q] for q in (0, 1)) for p in (0, 1))
-                        for y in (0, 1)
-                    )
-                    for x in (0, 1)
-                ),
-            )
-        )
+        states[n][1, 0] = states[n][0, 1].adjoint()
+        u = LOGICAL_PAULI[correction]
+        fid = np.einsum("pr,xyrs,qs->xypq", u, logical[n], u.conj())
+        fid.setflags(write=False)
+        out.append(OutcomeTensors(label, correction, prob[n], states[n], fid))
     return tuple(out)
 
 
@@ -283,23 +248,25 @@ def teleport_once(
     p_success = 0.0
     pf_success = 0.0
     for data in tensors:
-        p = float(np.real(np.sum(w * data.prob_array())))
+        p = float(np.real(np.sum(w * data.prob)))
         success = data.correction != FAIL
         state = None
         fidelity = None
         if success and p > PROB_FLOOR:
-            fid = data.fid_array()
             num = float(
-                np.real(np.einsum("xy,pq,xypq->", w, np.outer(m.conj(), m), fid))
+                np.real(np.einsum("xy,pq,xypq->", w, np.outer(m.conj(), m), data.fid))
             )
             fidelity = num / p
             if include_states:
-                acc = None
-                for x in (0, 1):
-                    for y in (0, 1):
-                        piece = data.state(x, y).scaled(w[x, y])
-                        acc = piece if acc is None else acc + piece
-                state = acc.scaled(1.0 / p).canonicalized()
+                rho = TermSum(
+                    data.states[0, 0].layout,
+                    [
+                        (w[xy] / p * c, l, r)
+                        for xy, ts in data.states.items()
+                        for c, l, r in ts.terms
+                    ],
+                )
+                state = apply_correction(rho, hybrid, data.correction).canonicalized()
             p_success += p
             pf_success += num
         elif success:
@@ -333,8 +300,8 @@ def _success_sums(tensors) -> tuple:
     for data in tensors:
         if data.correction == FAIL:
             continue
-        p_sum += data.prob_array()
-        f_sum += data.fid_array()
+        p_sum += data.prob
+        f_sum += data.fid
     return p_sum, f_sum
 
 

@@ -1,12 +1,15 @@
 """Logical encodings, entangled channel states, and Bell structure."""
 
+import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hybrid_teleport.encoding import (
+    LOGICAL_PAULI,
     BlochAngles,
     DynamicBasis,
     HybridType,
@@ -23,8 +26,13 @@ from hybrid_teleport.encoding import (
 )
 from hybrid_teleport.engine import (
     COHERENT_ALGEBRA,
+    Coherent,
     Contraction,
+    FockVector,
+    KetSum,
     ModeProjector,
+    fock,
+    ket_vector,
     trace_distance,
 )
 from hybrid_teleport.loss import LossParameter
@@ -189,6 +197,84 @@ class TestCorrections:
         k1 = logical_ket(HybridType.TYPE_II, 1, basis).dm()
         assert trace_distance(apply_correction(k0, HybridType.TYPE_II, "X"), k1,
                               COHERENT_ALGEBRA) < 1e-12
+
+
+def dense_operator(state) -> np.ndarray:
+    """Dense truncated-Fock matrix of an operator sum (oracle)."""
+    cuts = state.layout.cutoffs
+
+    def vec(kets):
+        out = np.ones(1, dtype=complex)
+        for k, cut in zip(kets, cuts):
+            out = np.kron(out, ket_vector(k, cut))
+        return out
+
+    return sum(c * np.outer(vec(l), vec(r).conj()) for c, l, r in state.terms)
+
+
+def dense_correction(hybrid, pauli, layout) -> np.ndarray:
+    """Dense Pauli correction on one qubit's modes (oracle).
+
+    X: photon-number parity on the coherent mode and on the V rail (type I)
+    or the photonic mode (type II).  Z: the H <-> V swap (type I) or the
+    0 <-> 1 swap (type II) as a permutation.  XZ applies Z first.
+    """
+    dims = [cut + 1 for cut in layout.cutoffs]
+    parity = [np.diag((-1.0) ** np.arange(d)) for d in dims]
+    eye = [np.eye(d) for d in dims]
+    if hybrid is HybridType.TYPE_I:
+        dh, dv, _ = dims
+        swap = np.zeros((dh * dv, dh * dv))
+        for i, j in itertools.product(range(dh), range(dv)):
+            swap[j * dv + i, i * dv + j] = 1.0
+        x = np.kron(np.kron(eye[0], parity[1]), parity[2])
+        z = np.kron(swap, eye[2])
+    else:
+        order = [1, 0] + list(range(2, dims[0]))
+        x = np.kron(parity[0], parity[1])
+        z = np.kron(eye[0][order], eye[1])
+    return {"I": np.eye(len(x)), "X": x, "Z": z, "XZ": x @ z}[pauli]
+
+
+class TestCorrectionOracles:
+    @pytest.mark.parametrize("hybrid", HYBRIDS)
+    @pytest.mark.parametrize("pauli", ["I", "X", "Z", "XZ"])
+    def test_apply_correction_matches_dense(self, hybrid, pauli):
+        basis = DynamicBasis(1.0, LossParameter(0.5))
+        psi = input_state(hybrid, BlochAngles(1.0, 0.7), basis, slot="c")
+        lay = psi.layout
+        n_phot = len(photonic_modes(hybrid, "c"))
+        # the photon lost to the environment, and a two-photon admixture
+        lost = (fock(0),) * n_phot + (Coherent(-basis.damped),)
+        two = (FockVector((0.2, 0.5, 0.6)),) + (fock(1),) * (n_phot - 1)
+        phi = KetSum(lay, [(0.4, lost), (0.3j, two + (Coherent(0.2 + 0.1j),))])
+        rho = (psi + phi).dm() + phi.outer(psi).scaled(0.5j)
+        c = dense_correction(hybrid, pauli, lay)
+        got = dense_operator(apply_correction(rho, hybrid, pauli))
+        want = c @ dense_operator(rho) @ c.conj().T
+        assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("hybrid", HYBRIDS)
+    @pytest.mark.parametrize("alpha", [0.5, 2.0])
+    @pytest.mark.parametrize("r", [0.0, 0.3, 0.9])
+    def test_logical_pauli_matches_physical_map(self, hybrid, alpha, r):
+        # <p_L| C |q_L><q'_L| C^dag |p'_L> = (U E_qq' U^dag)[p, p']
+        basis = DynamicBasis(alpha, LossParameter(r))
+        kets = [logical_ket(hybrid, bit, basis) for bit in (0, 1)]
+        for pauli, u in LOGICAL_PAULI.items():
+            for q, q2 in itertools.product((0, 1), repeat=2):
+                corrected = apply_correction(kets[q].outer(kets[q2]), hybrid, pauli)
+                unit = np.zeros((2, 2))
+                unit[q, q2] = 1.0
+                want = u @ unit @ u.conj().T
+                got = np.array(
+                    [
+                        [corrected.matrix_element(kets[p], kets[p2], COHERENT_ALGEBRA)
+                         for p2 in (0, 1)]
+                        for p in (0, 1)
+                    ]
+                )
+                assert np.allclose(got, want, rtol=0.0, atol=1e-12), (pauli, q, q2)
 
 
 class TestBellDecomposition:

@@ -5,6 +5,7 @@ vectors for overlaps and projections, and a dense two-mode matrix
 exponential (scipy) for the beam splitter.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -89,6 +90,11 @@ class TestLocalKets:
     def test_ket_vector_cutoff_guard(self):
         with pytest.raises(CutoffInsufficientError):
             ket_vector(Coherent(3.0), 4)
+
+    def test_ket_vector_coherent_large_amplitude(self):
+        # exp(-|a|^2/2) underflows here; the log-space series must not
+        vec = ket_vector(Coherent(40.0), default_cutoff(40.0) + 150)
+        assert abs(np.vdot(vec, vec).real - 1.0) < 1e-10
 
     def test_default_cutoff_tail(self):
         for g in (0.5, 1.0, 2.0, 2.83):
@@ -366,18 +372,33 @@ class TestContraction:
         ("p", "q", "C"), (2, 2, 20), (Role.PHOTONIC, Role.PHOTONIC, Role.COHERENT)
     )
 
-    BRANCHES = {
+    # name -> branch tables of the projectors passed together to outcome()
+    PROJECTORS = {
         # every branch names every traced mode
         "full": (
-            (("q", FILTER_SINGLE), ("C", FILTER_ODD)),
-            (("q", FILTER_VACUUM), ("C", FILTER_EVEN_GE2)),
+            (
+                (("q", FILTER_SINGLE), ("C", FILTER_ODD)),
+                (("q", FILTER_VACUUM), ("C", FILTER_EVEN_GE2)),
+            ),
         ),
         # the first branch leaves C to the plain trace
         "partial": (
-            (("q", FILTER_SINGLE),),
-            (("q", FILTER_VACUUM), ("C", FILTER_ODD)),
+            (
+                (("q", FILTER_SINGLE),),
+                (("q", FILTER_VACUUM), ("C", FILTER_ODD)),
+            ),
         ),
-        "trace": ((),),
+        "trace": (((),),),
+        # two multi-branch projectors, one per traced mode: their product is
+        # the Cartesian product of the branches
+        "pair": (
+            ((("q", FILTER_SINGLE),), (("q", FILTER_VACUUM),)),
+            ((("C", FILTER_ODD),), (("C", FILTER_VACUUM),)),
+        ),
+        "pair2": (
+            ((("q", FILTER_SINGLE),), (("q", NumberFilter("n", 2)),)),
+            ((("C", FILTER_EVEN_GE2),), (("C", FILTER_ODD),)),
+        ),
     }
 
     def _psi(self):
@@ -413,22 +434,30 @@ class TestContraction:
 
     @pytest.mark.parametrize("backend", BACKENDS, ids=lambda b: b.kind)
     @pytest.mark.parametrize(
-        "case", list(BRANCHES) + [name + "-cross" for name in BRANCHES]
+        "case", list(PROJECTORS) + [name + "-cross" for name in PROJECTORS]
     )
     def test_matches_dense_oracle(self, backend, case):
         # "-cross" cases contract |psi><phi| with phi != psi
         name, _, cross = case.partition("-")
-        branches = self.BRANCHES[name]
+        tables = self.PROJECTORS[name]
         ket = self._psi()
         bra = self._phi() if cross else ket
         rho = ket.outer(bra)
-        proj = ModeProjector(branches)
-        prob, reduced = Contraction(ket, bra, ("p",), backend).outcome(proj)
-        want_prob, want_reduced = self._oracle(rho, proj)
+        projs = [ModeProjector(table) for table in tables]
+        prob, reduced = Contraction(ket, bra, ("p",), backend).outcome(*projs)
+        joint = ModeProjector(tuple(sum(bs, ()) for bs in itertools.product(*tables)))
+        want_prob, want_reduced = self._oracle(rho, joint)
         assert reduced.layout.names == ("p",)
         assert abs(prob - want_prob) < 1e-10
         assert 0.0 < prob.real
         assert np.allclose(dense_operator(reduced), want_reduced, atol=1e-10)
+
+    def test_rejects_overlapping_projectors(self):
+        psi = self._psi()
+        on_q = ModeProjector(((("q", FILTER_SINGLE),),))
+        on_q_and_c = ModeProjector(((("q", FILTER_VACUUM), ("C", FILTER_ODD)),))
+        with pytest.raises(ValueError, match="disjoint"):
+            Contraction(psi, psi, ("p",), COHERENT_ALGEBRA).outcome(on_q, on_q_and_c)
 
     @pytest.mark.parametrize("backend", BACKENDS, ids=lambda b: b.kind)
     def test_sum_overlaps_match_dense_oracle(self, backend):
