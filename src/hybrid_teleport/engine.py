@@ -3,10 +3,11 @@
 States live on a fixed tuple of named modes.  A ket sum holds terms
 c * |k_1> x ... x |k_M|, an operator sum holds terms c * prod_m |L_m><R_m|.
 Each per-mode factor is either an explicit Fock coefficient vector or an
-exact coherent state.  Contractions (overlaps, traces, projections) reduce
-to per-mode scalar factors, evaluated by one of two interchangeable
-backends: exact coherent-state algebra, or truncated Fock sums at the
-layout cutoffs.
+exact coherent state.  Sums keep their factors as given; canonicalized()
+is the one place factors are normalized and near-equal terms merged.
+Contractions (overlaps, traces, projections) reduce to per-mode scalar
+factors, evaluated by one of two interchangeable backends: exact
+coherent-state algebra, or truncated Fock sums at the layout cutoffs.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Callable, Iterable, Union
+from typing import Iterable, Union
 
 import numpy as np
 
@@ -160,14 +161,10 @@ class Backend:
 
     kind "coherent" keeps coherent states symbolic and uses exact
     exponential overlap formulas; kind "fock" expands every ket to a
-    truncated Fock vector first.  algebra_tol is the tolerance for
-    identities that hold exactly; cutoff_tol covers quantities limited by
-    Fock truncation.
+    truncated Fock vector first.
     """
 
     kind: str
-    algebra_tol: float = 1e-10
-    cutoff_tol: float = 1e-6
 
     def __post_init__(self):
         if self.kind not in ("coherent", "fock"):
@@ -324,39 +321,12 @@ def filtered_overlap(
         if filt.kind == "even_ge2":
             return complex(0.5 * (np.exp(a + z) + np.exp(a - z)) - np.exp(a))
         raise ValueError(f"unknown filter kind {filt.kind!r}")
-    # mixed coherent/Fock: the Fock side bounds the sum, so evaluate exactly
-    parts = apply_filter(filt, ket, COHERENT_ALGEBRA, cutoff)
-    return complex(
-        sum(s * overlap(bra, k, COHERENT_ALGEBRA, cutoff) for s, k in parts)
-    )
-
-
-def apply_filter(
-    filt: NumberFilter, ket: LocalKet, backend: Backend, cutoff: int
-) -> list:
-    """F|ket> as a list of (scalar, LocalKet) pieces."""
-    if filt.kind == "all":
-        return [(1.0 + 0.0j, ket)]
-    if backend.kind == "coherent" and isinstance(ket, Coherent):
-        g = ket.amplitude
-        if filt.kind == "n":
-            c0 = math.exp(-0.5 * abs(g) ** 2)
-            amp = c0 * g ** filt.n / math.sqrt(math.factorial(filt.n))
-            return [(complex(amp), fock(filt.n))] if abs(amp) > 0 else []
-        if filt.kind == "odd":
-            return [(0.5 + 0.0j, ket), (-0.5 + 0.0j, Coherent(-g))]
-        if filt.kind == "even_ge2":
-            c0 = math.exp(-0.5 * abs(g) ** 2)
-            return [
-                (0.5 + 0.0j, ket),
-                (0.5 + 0.0j, Coherent(-g)),
-                (complex(-c0), VACUUM),
-            ]
-        raise ValueError(f"unknown filter kind {filt.kind!r}")
-    vec = ket_vector(ket, cutoff) * filt.mask(cutoff + 1)
-    if not np.any(np.abs(vec) > DROP_TOL):
-        return []
-    return [(1.0 + 0.0j, FockVector(tuple(vec)))]
+    # a Fock side bounds the sum: mask its coefficients, evaluate exactly
+    if isinstance(ket, FockVector):
+        ket = FockVector(filt.mask(len(ket.coeffs)) * ket.coeffs)
+    else:
+        bra = FockVector(filt.mask(len(bra.coeffs)) * bra.coeffs)
+    return overlap(bra, ket, COHERENT_ALGEBRA, cutoff)
 
 
 # ---------------------------------------------------------------------------
@@ -432,6 +402,35 @@ def _bs_pair(
 # ---------------------------------------------------------------------------
 # sums of product terms
 
+def _canonical_terms(terms: list) -> list:
+    """Canonical form of (c, *factor_groups) terms: the one place it is built.
+
+    Every factor is normalized (normalize_ket) with its scale moved into c;
+    the second group of an operator term holds bra factors, so its scales
+    enter conjugated.  Terms whose factors agree to MERGE_DECIMALS (ket_key)
+    are merged, sorted by that key, and dropped below DROP_TOL.
+    """
+    acc = {}
+    groups_by_key = {}
+    for c, *groups in terms:
+        normed = []
+        for pos, group in enumerate(groups):
+            out = []
+            for k in group:
+                s, nk = normalize_ket(k)
+                c *= s.conjugate() if pos else s
+                out.append(nk)
+            normed.append(tuple(out))
+        key = tuple(tuple(ket_key(k) for k in group) for group in normed)
+        acc[key] = acc.get(key, 0.0) + c
+        groups_by_key[key] = normed
+    return [
+        (c, *groups_by_key[key])
+        for key, c in sorted(acc.items(), key=lambda kv: kv[0])
+        if abs(c) > DROP_TOL
+    ]
+
+
 class KetSum:
     """Pure state: sum of weighted product kets over the layout's modes."""
 
@@ -439,16 +438,7 @@ class KetSum:
 
     def __init__(self, layout: ModeLayout, terms: Iterable):
         self.layout = layout
-        self.terms = []
-        for c, kets in terms:
-            c = complex(c)
-            norm_kets = []
-            for k in kets:
-                s, nk = normalize_ket(k)
-                c *= s
-                norm_kets.append(nk)
-            if c != 0:
-                self.terms.append((c, tuple(norm_kets)))
+        self.terms = [(complex(c), tuple(kets)) for c, kets in terms if c != 0]
 
     def scaled(self, z: complex) -> "KetSum":
         return KetSum(self.layout, [(c * z, k) for c, k in self.terms])
@@ -468,18 +458,7 @@ class KetSum:
         return KetSum(lay, terms)
 
     def canonicalized(self) -> "KetSum":
-        acc = {}
-        kets_by_key = {}
-        for c, kets in self.terms:
-            key = tuple(ket_key(k) for k in kets)
-            acc[key] = acc.get(key, 0.0) + c
-            kets_by_key[key] = kets
-        terms = [
-            (c, kets_by_key[key])
-            for key, c in sorted(acc.items(), key=lambda kv: kv[0])
-            if abs(c) > DROP_TOL
-        ]
-        return KetSum(self.layout, terms)
+        return KetSum(self.layout, _canonical_terms(self.terms))
 
     def braket(self, other: "KetSum", backend: Backend) -> complex:
         """<self|other>."""
@@ -524,20 +503,11 @@ class TermSum:
 
     def __init__(self, layout: ModeLayout, terms: Iterable):
         self.layout = layout
-        self.terms = []
-        for c, lefts, rights in terms:
-            c = complex(c)
-            nl, nr = [], []
-            for k in lefts:
-                s, nk = normalize_ket(k)
-                c *= s
-                nl.append(nk)
-            for k in rights:
-                s, nk = normalize_ket(k)
-                c *= s.conjugate()
-                nr.append(nk)
-            if c != 0:
-                self.terms.append((c, tuple(nl), tuple(nr)))
+        self.terms = [
+            (complex(c), tuple(lefts), tuple(rights))
+            for c, lefts, rights in terms
+            if c != 0
+        ]
 
     def scaled(self, z: complex) -> "TermSum":
         return TermSum(self.layout, [(c * z, l, r) for c, l, r in self.terms])
@@ -562,21 +532,7 @@ class TermSum:
         )
 
     def canonicalized(self) -> "TermSum":
-        acc = {}
-        kets_by_key = {}
-        for c, lefts, rights in self.terms:
-            key = (
-                tuple(ket_key(k) for k in lefts),
-                tuple(ket_key(k) for k in rights),
-            )
-            acc[key] = acc.get(key, 0.0) + c
-            kets_by_key[key] = (lefts, rights)
-        terms = []
-        for key, c in sorted(acc.items(), key=lambda kv: kv[0]):
-            if abs(c) > DROP_TOL:
-                lefts, rights = kets_by_key[key]
-                terms.append((c, lefts, rights))
-        return TermSum(self.layout, terms)
+        return TermSum(self.layout, _canonical_terms(self.terms))
 
     def trace(self, backend: Backend) -> complex:
         cuts = self.layout.cutoffs
@@ -644,16 +600,20 @@ class ModeProjector:
     branches: tuple  # tuple of tuples of (mode_name, NumberFilter)
 
 
-def _distinct(items: list, key: Callable) -> tuple:
-    """(distinct items by key in first-seen order, each item's index)."""
+def _distinct(items: list) -> tuple:
+    """(distinct items in first-seen order, each item's index).
+
+    Items (factors or tuples of factors) match by exact equality, the
+    identity the overlap caches use; only canonicalized() merges factors
+    that agree to rounding.
+    """
     index = {}
     firsts = []
     ids = np.empty(len(items), dtype=np.int64)
     for num, item in enumerate(items):
-        k = key(item)
-        pos = index.get(k)
+        pos = index.get(item)
         if pos is None:
-            pos = index[k] = len(firsts)
+            pos = index[item] = len(firsts)
             firsts.append(item)
         ids[num] = pos
     return firsts, ids
@@ -675,7 +635,8 @@ class Contraction:
     indexed out once to an N_ket x N_bra grid.  A branch is the elementwise
     product of its grids; one-hot matrix products then sum the weights onto
     the distinct kept-mode outer products.  No N_ket * N_bra-term operator
-    is built.
+    is built.  Factors match exactly, so pass canonicalized kets: only
+    canonicalized() turns proportional or near-equal factors into one.
     """
 
     def __init__(self, ket: KetSum, bra: KetSum, keep: Iterable[str], backend: Backend):
@@ -696,17 +657,14 @@ class Contraction:
         self.mode_cutoffs = [lay.cutoffs[i] for i in tidx]
         self.mode_factors = [
             (
-                _distinct([kets[i] for _, kets in ket.terms], ket_key),
-                _distinct([kets[i] for _, kets in bra.terms], ket_key),
+                _distinct([kets[i] for _, kets in ket.terms]),
+                _distinct([kets[i] for _, kets in bra.terms]),
             )
             for i in tidx
         ]
 
         (self.keep_kets, ket_ids), (self.keep_bras, bra_ids) = (
-            _distinct(
-                [tuple(kets[i] for i in kidx) for _, kets in side.terms],
-                lambda kept: tuple(ket_key(k) for k in kept),
-            )
+            _distinct([tuple(kets[i] for i in kidx) for _, kets in side.terms])
             for side in (ket, bra)
         )
         # one-hot rows: ket_sum @ grid @ bra_sum adds up the term pairs that
@@ -791,14 +749,15 @@ def gram_eigvals(state: TermSum, backend: Backend) -> np.ndarray:
     """Eigenvalues of a Hermitian TermSum via the Gram matrix of its kets.
 
     Works without materializing the full dense operator, so it stays cheap
-    even when the layout's product dimension is huge.
+    even when the layout's product dimension is huge.  The state is
+    canonicalized first: product kets then match exactly, and near-equal
+    ones have already been merged.
     """
     cuts = state.layout.cutoffs
     st = state.canonicalized()
     # ids alternate left, right per term
     kets, ids = _distinct(
-        [prod for _, lefts, rights in st.terms for prod in (lefts, rights)],
-        lambda prod: tuple(ket_key(k) for k in prod),
+        [prod for _, lefts, rights in st.terms for prod in (lefts, rights)]
     )
     n = len(kets)
     if n == 0:

@@ -2,7 +2,9 @@
 
 import re
 
+from hybrid_teleport import crossval
 from hybrid_teleport.crossval import CheckResult, run_all_checks
+from hybrid_teleport.loss import LossParameter, dilate
 
 
 class TestCheckResult:
@@ -31,3 +33,15 @@ class TestRunAllChecks:
         pat = re.compile(r"^(PASS|FAIL) [a-z\- ]+: worst \d\.\d{3}e[+-]\d+ \(tol \d\.\de[+-]\d+\)$")
         for res in results:
             assert pat.match(res.line()), res.line()
+
+
+class TestChannelClosedForm:
+    def test_covers_the_dilated_loss(self, monkeypatch):
+        # a dilation at the wrong loss must fail the check that the Kraus
+        # oracle alone would pass
+        def wrong_dilate(state, names, loss):
+            return dilate(state, names, LossParameter(0.5 * loss.r))
+
+        assert crossval.check_channel_closed_form().passed
+        monkeypatch.setattr(crossval, "dilate", wrong_dilate)
+        assert not crossval.check_channel_closed_form().passed

@@ -34,11 +34,9 @@ from hybrid_teleport.engine import (
     Role,
     TermSum,
     apply_beam_splitter,
-    apply_filter,
     default_cutoff,
     filtered_overlap,
     fock,
-    ket_key,
     ket_vector,
     normalize_ket,
     overlap,
@@ -159,16 +157,27 @@ class TestOverlap:
 
 
 class TestFilters:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_filtered_overlap_matches_masked_vector(self, backend):
-        g, d = 1.1, -0.8
-        cut = max(default_cutoff(g), default_cutoff(d))
-        vg = ket_vector(Coherent(g), cut)
-        vd = ket_vector(Coherent(d), cut)
-        for filt in (FILTER_VACUUM, FILTER_SINGLE, FILTER_ODD, FILTER_EVEN_GE2, FILTER_ALL):
-            mask = filt.mask(cut + 1)
-            want = np.vdot(vg, mask * vd)
-            got = filtered_overlap(Coherent(g), filt, Coherent(d), backend, cut)
+    # (bra, ket) per kind: coherent states, or Fock vectors with support
+    # above and below the filters' thresholds
+    KETS = {
+        "coherent": (Coherent(1.1), Coherent(-0.8 + 0.3j)),
+        "fock": (FockVector((0.3, -0.5j, 0.8, 0.1)), FockVector((0.2, 0.4, 0.0, -0.6, 0.5j))),
+    }
+
+    @pytest.mark.parametrize(
+        "kinds", ["coherent,coherent", "fock,coherent", "coherent,fock", "fock,fock"]
+    )
+    @pytest.mark.parametrize("backend", BACKENDS, ids=lambda b: b.kind)
+    def test_filtered_overlap_matches_masked_vector(self, backend, kinds):
+        bra_kind, ket_kind = kinds.split(",")
+        bra, ket = self.KETS[bra_kind][0], self.KETS[ket_kind][1]
+        cut = default_cutoff(1.1)
+        vb, vk = ket_vector(bra, cut), ket_vector(ket, cut)
+        filters = (FILTER_VACUUM, FILTER_SINGLE, NumberFilter("n", 3), FILTER_ODD,
+                   FILTER_EVEN_GE2, FILTER_ALL)
+        for filt in filters:
+            want = np.vdot(vb, filt.mask(cut + 1) * vk)
+            got = filtered_overlap(bra, filt, ket, backend, cut)
             assert abs(got - want) < 1e-10, filt
 
     def test_filters_partition_identity(self):
@@ -182,15 +191,6 @@ class TestFilters:
         extra = filtered_overlap(Coherent(g), FILTER_SINGLE, Coherent(d), COHERENT_ALGEBRA, cut)
         full = overlap(Coherent(g), Coherent(d), COHERENT_ALGEBRA, cut)
         assert abs(parts - extra - full) < 1e-10
-
-    def test_apply_filter_cat_decomposition(self):
-        g = 1.2
-        cut = default_cutoff(g)
-        for filt in (FILTER_ODD, FILTER_EVEN_GE2):
-            pieces = apply_filter(filt, Coherent(g), COHERENT_ALGEBRA, cut)
-            vec = sum(c * ket_vector(k, cut) for c, k in pieces)
-            want = filt.mask(cut + 1) * ket_vector(Coherent(g), cut)
-            assert np.allclose(vec, want, atol=1e-10)
 
     def test_number_filter_rejects_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -270,11 +270,24 @@ class TestSums:
         return lay, plus, minus
 
     def test_ketsum_normalizes_factor_scalars(self):
+        # sums store factors as given; canonicalized() moves each factor's
+        # scale into the coefficient, conjugated for a bra factor
         lay = ModeLayout(("p",), (3,), (Role.PHOTONIC,))
-        a = KetSum(lay, [(1.0, (FockVector((0.0, 2.0)),))])
-        b = KetSum(lay, [(2.0, (FockVector((0.0, 1.0)),))])
-        assert ket_key(a.terms[0][1][0]) == ket_key(b.terms[0][1][0])
-        assert abs(a.terms[0][0] - b.terms[0][0]) < 1e-12
+        a = KetSum(lay, [(1.0, (FockVector((0.0, 2.0j)),))])
+        b = KetSum(lay, [(2.0j, (fock(1),))])
+        assert a.terms[0][1] != b.terms[0][1]
+        ca, cb = a.canonicalized(), b.canonicalized()
+        assert ca.terms[0][1] == cb.terms[0][1] == (fock(1),)
+        assert abs(ca.terms[0][0] - 2.0j) < 1e-12
+        assert abs(cb.terms[0][0] - 2.0j) < 1e-12
+        (c, _), = (a + b).canonicalized().terms
+        assert abs(c - 4.0j) < 1e-12
+        op = TermSum(lay, [(1.0, (fock(1),), (FockVector((0.0, 2.0j)),))])
+        (c, lefts, rights), = op.canonicalized().terms
+        assert lefts == rights == (fock(1),)
+        assert abs(c + 2.0j) < 1e-12
+        (c, _, _), = op.adjoint().canonicalized().terms
+        assert abs(c - 2.0j) < 1e-12
 
     def test_canonicalized_merges(self):
         lay = ModeLayout(("p",), (3,), (Role.PHOTONIC,))
@@ -399,6 +412,10 @@ class TestContraction:
             ((("q", FILTER_SINGLE),), (("q", NumberFilter("n", 2)),)),
             ((("C", FILTER_EVEN_GE2),), (("C", FILTER_ODD),)),
         ),
+        "pair3": (
+            ((("q", FILTER_VACUUM),), (("q", NumberFilter("n", 2)),)),
+            ((("C", FILTER_EVEN_GE2),), (("C", FILTER_ODD),)),
+        ),
     }
 
     def _psi(self):
@@ -424,6 +441,22 @@ class TestContraction:
             ],
         )
 
+    def _scaled(self):
+        # proportional but unequal factors (FockVector((0, 2)) beside fock(1)
+        # on p, fock(1) beside FockVector((0, -1j)) on q): exact matching keeps
+        # them apart, and the contraction must still agree with the oracle;
+        # the second and last terms are one term once canonicalized
+        return KetSum(
+            self.LAYOUT,
+            [
+                (0.6, (FockVector((1.0, 1.0)), fock(1), Coherent(0.9))),
+                (0.25, (FockVector((0.0, 2.0)), FockVector((0.0, -1.0j)), Coherent(-0.9))),
+                (0.5j, (fock(1), fock(0), Coherent(0.9))),
+                (0.2, (FockVector((2.0, 2.0)), FockVector((0.0, 0.0, 3.0)), Coherent(0.2))),
+                (0.1, (fock(1), fock(1), Coherent(-0.9))),
+            ],
+        )
+
     def _oracle(self, rho, proj):
         dp, dq, dc = (c + 1 for c in self.LAYOUT.cutoffs)
         proj_d = dense_projector(self.LAYOUT, proj)
@@ -434,14 +467,18 @@ class TestContraction:
 
     @pytest.mark.parametrize("backend", BACKENDS, ids=lambda b: b.kind)
     @pytest.mark.parametrize(
-        "case", list(PROJECTORS) + [name + "-cross" for name in PROJECTORS]
+        "case",
+        list(PROJECTORS)
+        + [name + "-cross" for name in PROJECTORS]
+        + [name + "-scaled" for name in PROJECTORS],
     )
     def test_matches_dense_oracle(self, backend, case):
-        # "-cross" cases contract |psi><phi| with phi != psi
-        name, _, cross = case.partition("-")
+        # "-cross" cases contract |psi><phi| with phi != psi; "-scaled" ones
+        # a ket whose terms carry proportional but unequal factors
+        name, _, pair = case.partition("-")
         tables = self.PROJECTORS[name]
-        ket = self._psi()
-        bra = self._phi() if cross else ket
+        ket = self._scaled() if pair == "scaled" else self._psi()
+        bra = self._phi() if pair == "cross" else ket
         rho = ket.outer(bra)
         projs = [ModeProjector(table) for table in tables]
         prob, reduced = Contraction(ket, bra, ("p",), backend).outcome(*projs)
@@ -449,7 +486,11 @@ class TestContraction:
         want_prob, want_reduced = self._oracle(rho, joint)
         assert reduced.layout.names == ("p",)
         assert abs(prob - want_prob) < 1e-10
-        assert 0.0 < prob.real
+        if pair == "cross":
+            # a cross term Tr[P |psi><phi|] has no fixed sign
+            assert abs(prob) > 0.0
+        else:
+            assert 0.0 < prob.real
         assert np.allclose(dense_operator(reduced), want_reduced, atol=1e-10)
 
     def test_rejects_overlapping_projectors(self):
@@ -459,12 +500,20 @@ class TestContraction:
         with pytest.raises(ValueError, match="disjoint"):
             Contraction(psi, psi, ("p",), COHERENT_ALGEBRA).outcome(on_q, on_q_and_c)
 
+    @pytest.mark.parametrize("canonical", [False, True], ids=["as-given", "canonical"])
     @pytest.mark.parametrize("backend", BACKENDS, ids=lambda b: b.kind)
-    def test_sum_overlaps_match_dense_oracle(self, backend):
-        # braket, trace and matrix_element on multi-term kets, bra != ket
+    def test_sum_overlaps_match_dense_oracle(self, backend, canonical):
+        # braket, trace and matrix_element on multi-term kets, bra != ket;
+        # canonicalized() must keep every vector and operator unchanged
         psi, phi = self._psi(), self._phi()
-        op = psi.outer(phi) + phi.outer(psi).scaled(0.3j)
+        op = psi.outer(phi) + phi.outer(psi).scaled(0.3j) + self._scaled().dm()
         vpsi, vphi, dense = dense_ket(psi), dense_ket(phi), dense_operator(op)
+        if canonical:
+            psi, phi, op = psi.canonicalized(), phi.canonicalized(), op.canonicalized()
+            assert len(op.terms) < 16 + 16 + 25
+            assert np.allclose(dense_ket(psi), vpsi, atol=1e-12)
+            assert np.allclose(dense_ket(phi), vphi, atol=1e-12)
+            assert np.allclose(dense_operator(op), dense, atol=1e-12)
         assert abs(phi.braket(psi, backend) - np.vdot(vphi, vpsi)) < 1e-10
         assert abs(op.trace(backend) - np.trace(dense)) < 1e-10
         want = np.vdot(vphi, dense @ vpsi)
