@@ -304,7 +304,7 @@ def bell_decomposition_details(
         for sign in (1, -1):
             bra = photonic_bell(hybrid, kind, sign, lay)
             reduced = _partial_inner(bra, total, backend)
-            split = apply_beam_splitter(reduced, "A", "B")
+            split = apply_beam_splitter(reduced, "A", "B").canonicalized()
             contraction = Contraction(split, split, bob_modes, backend)
             for o_label in ("o1", "o2", "o3", "o4"):
                 spec = ProjectorSpec(MeasurementFamily.B_ALPHA, o_label[1:])

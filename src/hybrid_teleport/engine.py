@@ -408,20 +408,30 @@ def _canonical_terms(terms: list) -> list:
     Every factor is normalized (normalize_ket) with its scale moved into c;
     the second group of an operator term holds bra factors, so its scales
     enter conjugated.  Terms whose factors agree to MERGE_DECIMALS (ket_key)
-    are merged, sorted by that key, and dropped below DROP_TOL.
+    are merged, sorted by that key, and dropped below DROP_TOL.  Each
+    distinct factor (exact equality) is normalized and keyed once.
     """
+    factors = {}
     acc = {}
     groups_by_key = {}
     for c, *groups in terms:
         normed = []
+        keys = []
         for pos, group in enumerate(groups):
             out = []
+            group_keys = []
             for k in group:
-                s, nk = normalize_ket(k)
+                done = factors.get(k)
+                if done is None:
+                    s, nk = normalize_ket(k)
+                    done = factors[k] = (s, nk, ket_key(nk))
+                s, nk, kk = done
                 c *= s.conjugate() if pos else s
                 out.append(nk)
+                group_keys.append(kk)
             normed.append(tuple(out))
-        key = tuple(tuple(ket_key(k) for k in group) for group in normed)
+            keys.append(tuple(group_keys))
+        key = tuple(keys)
         acc[key] = acc.get(key, 0.0) + c
         groups_by_key[key] = normed
     return [
@@ -572,14 +582,20 @@ def apply_beam_splitter(
     theta = pi/4 is the 50:50 splitter: coherent amplitudes map as
     |g>_i |d>_j -> |(g+d)/sqrt2>_i |(d-g)/sqrt2>_j and a lone photon in i
     exits as (|1,0> - |0,1>)/sqrt2.  With a vacuum in j, theta = asin(r)
-    leaks the fraction r^2 of mode i's energy into j: photon loss.
+    leaks the fraction r^2 of mode i's energy into j: photon loss.  Each
+    distinct (ket_i, ket_j) pair (exact equality) is transformed once.
     """
     lay = state.layout
     i, j = lay.index(mode_i), lay.index(mode_j)
     ci, cj = lay.cutoffs[i], lay.cutoffs[j]
+    pairs = {}
     terms = []
     for c, kets in state.terms:
-        for s, ki, kj in _bs_pair(kets[i], kets[j], ci, cj, theta):
+        pair = kets[i], kets[j]
+        pieces = pairs.get(pair)
+        if pieces is None:
+            pieces = pairs[pair] = _bs_pair(*pair, ci, cj, theta)
+        for s, ki, kj in pieces:
             new = list(kets)
             new[i], new[j] = ki, kj
             terms.append((c * s, tuple(new)))
@@ -722,13 +738,14 @@ class Contraction:
             self._sums[proj] = total
         return total
 
-    def outcome(self, *projectors: ModeProjector) -> tuple:
-        """(Tr[P rho], unnormalized TermSum on the kept modes), P the product.
+    def weights(self, *projectors: ModeProjector) -> tuple:
+        """(Tr[P rho], W), P the product of the projectors.
 
-        The projectors must act on disjoint modes: each one's branch sum is
-        then taken once on its own modes, and P is their product (the
-        Cartesian product of their branches).  The traced modes no
-        projector names get the plain trace once.
+        W[a, b] weighs the kept-mode outer product |keep_kets[a]><keep_bras[b]|
+        of the unnormalized output.  The projectors must act on disjoint
+        modes: each one's branch sum is then taken once on its own modes,
+        and P is their product (the Cartesian product of their branches).
+        The traced modes no projector names get the plain trace once.
         """
         named = [frozenset(n for branch in p.branches for n, _ in branch) for p in projectors]
         if sum(map(len, named)) != len(frozenset().union(*named)):
@@ -737,12 +754,38 @@ class Contraction:
         for proj, modes in zip(projectors, named):
             values = values * self._projector_sum(proj, modes)
         weights = self.ket_sum @ (self.coeff * values) @ self.bra_sum
-        prob = complex(np.sum(weights * self.keep_trace))
+        return complex(np.sum(weights * self.keep_trace)), weights
+
+    def operator(self, weights: np.ndarray) -> TermSum:
+        """The kept-mode TermSum with the weights W of weights()."""
         terms = [
             (weights[p, q], self.keep_kets[p], self.keep_bras[q])
             for p, q in zip(*np.nonzero(np.abs(weights) > 1e-16))
         ]
-        return prob, TermSum(self.keep_layout, terms)
+        return TermSum(self.keep_layout, terms)
+
+    def outcome(self, *projectors: ModeProjector) -> tuple:
+        """(Tr[P rho], unnormalized TermSum on the kept modes), as weights()."""
+        prob, weights = self.weights(*projectors)
+        return prob, self.operator(weights)
+
+    def kept_overlaps(self, kets) -> tuple:
+        """(A, B) with A[p, a] = <kets[p]|keep_kets[a]>, B[b, q] = <keep_bras[b]|kets[q]>.
+
+        kets are KetSums on the kept modes: <kets[p]|operator(W)|kets[q]>
+        is then (A @ W @ B)[p, q] for every W from weights().
+        """
+        def brakets(prods):
+            return np.array(
+                [
+                    [psi.braket(KetSum(self.keep_layout, [(1.0, prod)]), self.backend)
+                     for prod in prods]
+                    for psi in kets
+                ],
+                dtype=complex,
+            ).reshape(len(kets), len(prods))
+
+        return brakets(self.keep_kets), brakets(self.keep_bras).conj().T
 
 
 def gram_eigvals(state: TermSum, backend: Backend) -> np.ndarray:

@@ -74,8 +74,12 @@ class SphereQuadrature:
                 out.append((u, v, 0.5 * wi / self.n_v))
         return tuple(out)
 
+    @lru_cache(maxsize=8)
     def mu_nu_grid(self) -> tuple:
-        """(M, weights): M[n] = (mu, nu) per node, weights[n] the measure."""
+        """(M, weights): M[n] = (mu, nu) per node, weights[n] the measure.
+
+        Built once per rule; the arrays are read-only.
+        """
         nodes = self.nodes()
         m = np.empty((len(nodes), 2), dtype=complex)
         w = np.empty(len(nodes))
@@ -84,6 +88,8 @@ class SphereQuadrature:
             m[i, 0] = ang.mu
             m[i, 1] = ang.nu
             w[i] = wt
+        m.setflags(write=False)
+        w.setflags(write=False)
         return m, w
 
 
@@ -146,7 +152,9 @@ def outcome_tensors(
 
     Every Pauli correction C maps Bob's logical kets onto +/- each other
     (LOGICAL_PAULI), so fid = U L U^dag with L[p, q] = <p_L|rho_xy|q_L>
-    taken on the uncorrected state: no correction is applied here.
+    taken on the uncorrected state: no correction is applied here.  L is
+    read from the contraction's kept-mode weights W as A W B, with the
+    logical-ket overlaps A and B taken once per basis pair.
     """
     labels = enumerate_outcomes(hybrid)
     corrections = [correction_lookup(hybrid, label) for label in labels]
@@ -166,15 +174,13 @@ def outcome_tensors(
     states = [{} for _ in labels]
     for x, y in ((0, 0), (0, 1), (1, 1)):
         contraction = Contraction(psi[x], psi[y], bob_kets[0].layout.names, backend)
+        left, right = contraction.kept_overlaps(bob_kets)
         for n, projs in enumerate(analyzers):
-            prob[n, x, y], rho = contraction.outcome(*projs)
+            prob[n, x, y], weights = contraction.weights(*projs)
             if corrections[n] == FAIL:
                 continue
-            states[n][x, y] = rho
-            logical[n, x, y] = [
-                [rho.matrix_element(bra, ket, backend) for ket in bob_kets]
-                for bra in bob_kets
-            ]
+            states[n][x, y] = contraction.operator(weights)
+            logical[n, x, y] = left @ weights @ right
     # rho_10 = rho_01^dag
     prob[:, 1, 0] = prob[:, 0, 1].conj()
     logical[:, 1, 0] = logical[:, 0, 1].conj().swapaxes(-1, -2)

@@ -233,15 +233,36 @@ class TestBeamSplitter:
         want = dense_bs(cutoff) @ two_mode_vector((fock(n), fock(m)), cutoff)
         assert np.allclose(got, want, atol=1e-12)
 
-    def test_mixed_fock_coherent_matches_dense(self):
+    @pytest.mark.parametrize("case", ["single", "repeated-pair"])
+    def test_mixed_fock_coherent_matches_dense(self, case):
+        # "repeated-pair": terms that share one (p, q) pair, with different
+        # coefficients and other-mode factors, beside pairs that differ from
+        # it in q or in both modes
         g = 0.8
         cutoff = 22
-        lay = ModeLayout(("p", "q"), (cutoff, cutoff), (Role.PHOTONIC, Role.COHERENT))
-        state = KetSum(lay, [(1.0, (fock(1), Coherent(g)))])
+        lay = ModeLayout(
+            ("p", "q", "o"), (cutoff, cutoff, 2),
+            (Role.PHOTONIC, Role.COHERENT, Role.PHOTONIC),
+        )
+        terms = [(1.0, (fock(1), Coherent(g), fock(0)))]
+        if case == "repeated-pair":
+            terms += [
+                (0.5j, (fock(1), Coherent(g), fock(1))),
+                (-0.3, (fock(1), Coherent(g), FockVector((0.6, 0.0, 0.8)))),
+                (0.7, (fock(0), Coherent(-g), fock(2))),
+                (0.4, (fock(1), Coherent(-g), fock(0))),
+                (0.2, (fock(1), Coherent(g), fock(2))),
+            ]
+        state = KetSum(lay, terms)
         out = apply_beam_splitter(state, "p", "q")
-        got = ketsum_two_mode_vector(out, cutoff)
-        want = dense_bs(cutoff) @ two_mode_vector((fock(1), Coherent(g)), cutoff)
+        got = dense_ket(out)
+        want = np.kron(dense_bs(cutoff), np.eye(3)) @ dense_ket(state)
         assert np.allclose(got, want, atol=1e-8)
+        by_term = sum(
+            (apply_beam_splitter(KetSum(lay, [t]), "p", "q") for t in terms),
+            KetSum(lay, []),
+        )
+        assert np.allclose(got, dense_ket(by_term), rtol=0, atol=1e-14)
 
     @given(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5))
     @settings(max_examples=20, deadline=None)
@@ -481,7 +502,8 @@ class TestContraction:
         bra = self._phi() if pair == "cross" else ket
         rho = ket.outer(bra)
         projs = [ModeProjector(table) for table in tables]
-        prob, reduced = Contraction(ket, bra, ("p",), backend).outcome(*projs)
+        contraction = Contraction(ket, bra, ("p",), backend)
+        prob, reduced = contraction.outcome(*projs)
         joint = ModeProjector(tuple(sum(bs, ()) for bs in itertools.product(*tables)))
         want_prob, want_reduced = self._oracle(rho, joint)
         assert reduced.layout.names == ("p",)
@@ -492,6 +514,16 @@ class TestContraction:
         else:
             assert 0.0 < prob.real
         assert np.allclose(dense_operator(reduced), want_reduced, atol=1e-10)
+        # matrix elements read from the weights, between multi-term kept kets
+        kept = reduced.layout
+        reads = [
+            KetSum(kept, [(0.6, (fock(0),)), (0.8j, (FockVector((0.0, 2.0)),))]),
+            KetSum(kept, [(1.0, (FockVector((0.3, -0.4)),))]),
+        ]
+        left, right = contraction.kept_overlaps(reads)
+        vecs = np.array([dense_ket(k) for k in reads])
+        want = vecs.conj() @ want_reduced @ vecs.T
+        assert np.allclose(left @ contraction.weights(*projs)[1] @ right, want, atol=1e-10)
 
     def test_rejects_overlapping_projectors(self):
         psi = self._psi()

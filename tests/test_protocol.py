@@ -8,7 +8,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hybrid_teleport import formulas
-from hybrid_teleport.encoding import BlochAngles, HybridType
+from hybrid_teleport.encoding import (
+    LOGICAL_PAULI,
+    BlochAngles,
+    DynamicBasis,
+    HybridType,
+    logical_ket,
+)
 from hybrid_teleport.engine import COHERENT_ALGEBRA, TRUNCATED_FOCK, trace_distance
 from hybrid_teleport.loss import LossParameter
 from hybrid_teleport.measurement import FAIL, success_outcomes
@@ -17,6 +23,7 @@ from hybrid_teleport.protocol import (
     average_fidelity,
     average_success,
     group_statistics,
+    outcome_tensors,
     teleport_once,
 )
 
@@ -48,6 +55,16 @@ class TestSphereQuadrature:
     def test_validation(self):
         with pytest.raises(ValueError):
             SphereQuadrature(0, 4)
+
+    def test_grid_is_read_only(self):
+        quad = SphereQuadrature(4, 8)
+        m, w = quad.mu_nu_grid()
+        with pytest.raises(ValueError):
+            m[0, 0] = 2.0
+        with pytest.raises(ValueError):
+            w[0] = 2.0
+        m2, w2 = SphereQuadrature(4, 8).mu_nu_grid()
+        assert np.array_equal(m, m2) and np.array_equal(w, w2)
 
 
 class TestLossless:
@@ -229,6 +246,27 @@ class TestBackends:
                             abs_tol=1e-8)
         for ec, ef in zip(rc.entries, rf.entries):
             assert abs(ec.probability - ef.probability) < 1e-8
+
+
+class TestLogicalRead:
+    @pytest.mark.parametrize("backend", (COHERENT_ALGEBRA, TRUNCATED_FOCK), ids=lambda b: b.kind)
+    @pytest.mark.parametrize("alpha, r", [(1.0, 0.3), (2.0, 0.6), (1.0, 0.9)])
+    @pytest.mark.parametrize("hybrid", HYBRIDS)
+    def test_fid_matches_matrix_elements_of_states(self, hybrid, alpha, r, backend):
+        # oracle: L[p, q] = <p_L|rho_xy|q_L> on the returned kept-mode states,
+        # then fid = U L U^dag
+        basis = DynamicBasis(alpha, LossParameter(r))
+        kets = [logical_ket(hybrid, bit, basis, "c") for bit in (0, 1)]
+        for data in outcome_tensors(hybrid, alpha, r, backend):
+            if data.correction == FAIL:
+                continue
+            u = LOGICAL_PAULI[data.correction]
+            for (x, y), rho in data.states.items():
+                logical = np.array(
+                    [[rho.matrix_element(bra, ket, backend) for ket in kets] for bra in kets]
+                )
+                want = u @ logical @ u.conj().T
+                assert np.allclose(data.fid[x, y], want, rtol=0.0, atol=1e-14)
 
 
 class TestTypeIOutcomeIndependence:
