@@ -198,6 +198,10 @@ def run_sweep(config: SweepConfig) -> list:
                     raise RuntimeError(
                         f"numeric failure in {config.engine} at {where}: {exc}"
                     ) from exc
+                except protocol.NonFiniteError as exc:
+                    # the library's guard: the check below reports its stage
+                    bad_fid = exc.stage == "average_fidelity"
+                    fid, suc = (exc.value, 0.0) if bad_fid else (0.0, exc.value)
                 for stage, value in (("avg_fidelity", fid), ("avg_success", suc)):
                     if not math.isfinite(value):
                         raise RuntimeError(

@@ -306,11 +306,12 @@ def bell_decomposition_details(
             reduced = _partial_inner(bra, total, backend)
             split = apply_beam_splitter(reduced, "A", "B").canonicalized()
             contraction = Contraction(split, split, bob_modes, backend)
-            for o_label in ("o1", "o2", "o3", "o4"):
-                spec = ProjectorSpec(MeasurementFamily.B_ALPHA, o_label[1:])
-                p, bob = contraction.outcome(projector(spec))
+            specs = [ProjectorSpec(MeasurementFamily.B_ALPHA, o) for o in "1234"]
+            probs, weights = contraction.weights([projector(spec) for spec in specs])
+            for spec, p, w in zip(specs, probs[:, 0], weights[:, 0]):
+                bob = contraction.kept.operator(w)
                 prob = float(p.real)
-                combo = (kind, sign, o_label)
+                combo = (kind, sign, "o" + spec.outcome)
                 pauli = _SUPPORTED_COMBOS.get(combo)
                 if pauli is None or prob < 1e-14:
                     out[combo] = (prob, None)

@@ -616,6 +616,10 @@ class ModeProjector:
     branches: tuple  # tuple of tuples of (mode_name, NumberFilter)
 
 
+# one branch that names no mode: the plain trace of every mode it covers
+NO_PROJECTOR = ModeProjector(((),))
+
+
 def _distinct(items: list) -> tuple:
     """(distinct items in first-seen order, each item's index).
 
@@ -635,157 +639,170 @@ def _distinct(items: list) -> tuple:
     return firsts, ids
 
 
+class FactorTables:
+    """Contraction input built once per ket: coefficients, per mode (factors, term ids)."""
+
+    def __init__(self, ket: KetSum):
+        self.layout = ket.layout
+        self.coeffs = np.array([c for c, _ in ket.terms], dtype=complex)
+        self.modes = {
+            name: _distinct([kets[i] for _, kets in ket.terms])
+            for i, name in enumerate(ket.layout.names)
+        }
+
+    def tuples(self, modes: tuple) -> tuple:
+        """(distinct tuples of factor ids on modes, as array rows; each term's row)."""
+        rows = list(zip(*(self.modes[m][1].tolist() for m in modes))) or [()] * len(self.coeffs)
+        firsts, ids = _distinct(rows)
+        return np.array(firsts, dtype=np.int64).reshape(len(firsts), len(modes)), ids
+
+
+@dataclass(frozen=True)
+class KeptProducts:
+    """The distinct kept-mode products: W[a, b] weighs |kets[a]><bras[b]|."""
+
+    layout: ModeLayout
+    kets: tuple
+    bras: tuple
+
+    def operator(self, weights: np.ndarray) -> TermSum:
+        terms = [
+            (weights[p, q], self.kets[p], self.bras[q])
+            for p, q in zip(*np.nonzero(np.abs(weights) > 1e-16))
+        ]
+        return TermSum(self.layout, terms)
+
+
 class Contraction:
     """Projected partial trace Tr_traced[P |ket><bra| P] of one ket pair, any P.
 
     Every mode outside keep is traced.  A traced mode that no projector
-    names gets the plain trace (FILTER_ALL), so ModeProjector(((),)), or no
+    names gets the plain trace (FILTER_ALL), so NO_PROJECTOR, or no
     projector at all, gives the partial trace itself; so do the environment
     modes a dilated loss channel leaks into.  Branches must be mutually
     orthogonal: the cross terms Tr[P_i rho P_j] then vanish, leaving the sum
     over i of Tr_traced[P_i rho].
 
-    Built once per pair and reused for every projector.  Per traced mode it
-    gathers the distinct ket and bra factors and each term's factor id, so a
-    (mode, filter) pair costs one small matrix of <bra|filter|ket> values,
-    indexed out once to an N_ket x N_bra grid.  A branch is the elementwise
-    product of its grids; one-hot matrix products then sum the weights onto
-    the distinct kept-mode outer products.  No N_ket * N_bra-term operator
-    is built.  Factors match exactly, so pass canonicalized kets: only
-    canonicalized() turns proportional or near-equal factors into one.
+    ket and bra are KetSums or their FactorTables.  Per-mode values are
+    taken once per distinct factor pair and combined on the distinct
+    factor tuples of a mode set; no N_ket * N_bra-term operator is built.
+    Factors match exactly, so pass canonicalized kets: only canonicalized()
+    turns proportional or near-equal factors into one.
     """
 
-    def __init__(self, ket: KetSum, bra: KetSum, keep: Iterable[str], backend: Backend):
-        lay = ket.layout
-        if bra.layout.names != lay.names:
+    def __init__(self, ket, bra, keep: Iterable[str], backend: Backend):
+        if bra.layout.names != ket.layout.names:
             raise ValueError("layout mismatch")
-        keep = tuple(keep)
-        kidx = [lay.index(n) for n in keep]
-        tidx = [i for i in range(len(lay.names)) if lay.names[i] not in keep]
-        self.backend = backend
-        self.keep_layout = lay.subset(keep)
-        self.coeff = np.outer(
-            np.array([c for c, _ in ket.terms], dtype=complex),
-            np.array([c for c, _ in bra.terms], dtype=complex).conj(),
-        )
-
-        self.traced = {lay.names[i]: pos for pos, i in enumerate(tidx)}
-        self.mode_cutoffs = [lay.cutoffs[i] for i in tidx]
-        self.mode_factors = [
-            (
-                _distinct([kets[i] for _, kets in ket.terms]),
-                _distinct([kets[i] for _, kets in bra.terms]),
-            )
-            for i in tidx
-        ]
-
-        (self.keep_kets, ket_ids), (self.keep_bras, bra_ids) = (
-            _distinct([tuple(kets[i] for i in kidx) for _, kets in side.terms])
+        self.ket, self.bra = (
+            side if isinstance(side, FactorTables) else FactorTables(side)
             for side in (ket, bra)
         )
-        # one-hot rows: ket_sum @ grid @ bra_sum adds up the term pairs that
-        # share a kept-mode outer product
-        self.ket_sum = np.eye(len(self.keep_kets))[ket_ids].T
-        self.bra_sum = np.eye(len(self.keep_bras))[bra_ids]
-        kcuts = [lay.cutoffs[i] for i in kidx]
-        self.keep_trace = np.array(
-            [
-                [overlap_product(kr, kl, backend, kcuts) for kr in self.keep_bras]
-                for kl in self.keep_kets
-            ],
-            dtype=complex,
-        ).reshape(len(self.keep_kets), len(self.keep_bras))
-        self._grids = {}
-        self._plain_grids = {}
-        self._sums = {}
-
-    def _grid(self, pos: int, filt: NumberFilter) -> np.ndarray:
-        """Per-term-pair <bra|filt|ket> on the traced mode at position pos."""
-        grid = self._grids.get((pos, filt))
-        if grid is None:
-            (kets, ket_ids), (bras, bra_ids) = self.mode_factors[pos]
-            cut = self.mode_cutoffs[pos]
-            vals = np.array(
-                [[filtered_overlap(b, filt, k, self.backend, cut) for b in bras] for k in kets],
-                dtype=complex,
-            ).reshape(len(kets), len(bras))
-            grid = self._grids[(pos, filt)] = vals[ket_ids][:, bra_ids]
-        return grid
-
-    def _plain(self, names: frozenset) -> np.ndarray:
-        """Product of the plain-trace grids of the named traced modes."""
-        grid = self._plain_grids.get(names)
-        if grid is None:
-            grid = np.ones(self.coeff.shape, dtype=complex)
-            for name in names:
-                grid = grid * self._grid(self.traced[name], FILTER_ALL)
-            self._plain_grids[names] = grid
-        return grid
-
-    def _projector_sum(self, proj: ModeProjector, modes: frozenset) -> np.ndarray:
-        """Per-term-pair factor of one projector on its modes, summed over branches.
-
-        A mode in modes that a branch leaves unnamed gets its plain trace.
-        """
-        total = self._sums.get(proj)
-        if total is None:
-            total = np.zeros(self.coeff.shape, dtype=complex)
-            for branch in proj.branches:
-                acc = self._plain(modes.difference(n for n, _ in branch))
-                for name, filt in branch:
-                    acc = acc * self._grid(self.traced[name], filt)
-                total += acc
-            self._sums[proj] = total
-        return total
-
-    def weights(self, *projectors: ModeProjector) -> tuple:
-        """(Tr[P rho], W), P the product of the projectors.
-
-        W[a, b] weighs the kept-mode outer product |keep_kets[a]><keep_bras[b]|
-        of the unnormalized output.  The projectors must act on disjoint
-        modes: each one's branch sum is then taken once on its own modes,
-        and P is their product (the Cartesian product of their branches).
-        The traced modes no projector names get the plain trace once.
-        """
-        named = [frozenset(n for branch in p.branches for n, _ in branch) for p in projectors]
-        if sum(map(len, named)) != len(frozenset().union(*named)):
-            raise ValueError("projectors must act on disjoint modes")
-        values = self._plain(frozenset(self.traced).difference(*named))
-        for proj, modes in zip(projectors, named):
-            values = values * self._projector_sum(proj, modes)
-        weights = self.ket_sum @ (self.coeff * values) @ self.bra_sum
-        return complex(np.sum(weights * self.keep_trace)), weights
-
-    def operator(self, weights: np.ndarray) -> TermSum:
-        """The kept-mode TermSum with the weights W of weights()."""
-        terms = [
-            (weights[p, q], self.keep_kets[p], self.keep_bras[q])
-            for p, q in zip(*np.nonzero(np.abs(weights) > 1e-16))
+        keep = tuple(keep)
+        self.layout = lay = ket.layout
+        self.backend = backend
+        self.traced = tuple(n for n in lay.names if n not in keep)
+        kept = [
+            [tuple(side.modes[m][0][i] for m, i in zip(keep, t)) for t in side.tuples(keep)[0]]
+            for side in (self.ket, self.bra)
         ]
-        return TermSum(self.keep_layout, terms)
+        self.kept = KeptProducts(lay.subset(keep), *map(tuple, kept))
+        # Tr of |kept ket a><kept bra b|, and each term's kept product
+        self.ket_kept, self.bra_kept, trace = self._branch_sums(keep, (NO_PROJECTOR,))
+        self.keep_trace = trace[0]
+
+    def _branch_sums(self, modes: tuple, family: tuple) -> tuple:
+        """(ket tuple ids, bra tuple ids, S): a family's branch sums on modes.
+
+        S[i, t, u] sums the branches of family[i] on the t-th distinct ket
+        and the u-th distinct bra tuple of factor ids on modes, from per-mode
+        <bra|filter|ket> matrices of the distinct factors; a mode a branch
+        leaves unnamed gets FILTER_ALL.
+        """
+        (ket_rows, ket_ids), (bra_rows, bra_ids) = self.ket.tuples(modes), self.bra.tuples(modes)
+        grids = {}
+        sums = np.zeros((len(family), len(ket_rows), len(bra_rows)), dtype=complex)
+        for total, proj in zip(sums, family):
+            for branch in proj.branches:
+                filters = dict(branch)
+                acc = np.ones(total.shape, dtype=complex)
+                for pos, mode in enumerate(modes):
+                    filt = filters.get(mode, FILTER_ALL)
+                    grid = grids.get((mode, filt))
+                    if grid is None:
+                        kets, bras = self.ket.modes[mode][0], self.bra.modes[mode][0]
+                        cut = self.layout.cutoffs[self.layout.index(mode)]
+                        vals = np.array([[filtered_overlap(b, filt, k, self.backend, cut)
+                                          for b in bras] for k in kets], dtype=complex)
+                        vals = vals.reshape(len(kets), len(bras))
+                        grid = grids[mode, filt] = vals[np.ix_(ket_rows[:, pos], bra_rows[:, pos])]
+                    acc = acc * grid
+                total += acc
+        return ket_ids, bra_ids, sums
+
+    def weights(self, *families) -> tuple:
+        """(prob, W) for every outcome pair of up to two projector families.
+
+        A family is a sequence of projectors (outcomes) on one mode set, the
+        families on disjoint modes; a bare ModeProjector is a family of one,
+        a missing family (NO_PROJECTOR,).  prob[i, j] = Tr[P_i P'_j rho] and
+        W[i, j, a, b] weighs |kept.kets[a]><kept.bras[b]| in that output.
+        Q, the coefficients times the environment's plain trace, is summed
+        once onto (kept product, folded tuple, batched tuple) pairs: the
+        family with fewer distinct factor tuples is folded, and each outcome
+        of the other is one contraction of those sums with its branch sums.
+        """
+        fams = [(f,) if isinstance(f, ModeProjector) else tuple(f) for f in families]
+        if len(fams) > 2:
+            raise ValueError("at most two projector families")
+        fams += [(NO_PROJECTOR,)] * (2 - len(fams))
+        named = [sorted({n for proj in fam for br in proj.branches for n, _ in br}) for fam in fams]
+        if set(named[0]) & set(named[1]):
+            raise ValueError("projector families must act on disjoint modes")
+        env = tuple(m for m in self.traced if m not in named[0] + named[1])
+        env_k, env_b, plain = self._branch_sums(env, (NO_PROJECTOR,))
+        q = np.outer(self.ket.coeffs, self.bra.coeffs.conj()) * plain[0][np.ix_(env_k, env_b)]
+        sums = [self._branch_sums(modes, fam) for modes, fam in zip(named, fams)]
+        swap = sums[0][2][0].size < sums[1][2][0].size
+        (batch_k, batch_b, batch), (fold_k, fold_b, fold) = sums[::-1] if swap else sums
+        # keys (kept product, folded tuple), and each term's key
+        (ket_keys, ket_cells), (bra_keys, bra_cells) = (
+            _distinct(list(zip(kept.tolist(), ids.tolist())))
+            for kept, ids in ((self.ket_kept, fold_k), (self.bra_kept, fold_b))
+        )
+        ket_keys, bra_keys = (np.array(k, dtype=np.int64).reshape(-1, 2) for k in (ket_keys, bra_keys))
+        # Q summed onto (key, batched tuple) pairs: no N_ket x N_bra array per outcome
+        _, tk, tb = batch.shape
+        rows = np.eye(len(ket_keys) * tk)[ket_cells * tk + batch_k]
+        cols = np.eye(len(bra_keys) * tb)[bra_cells * tb + batch_b]
+        pairs = (rows.T @ q @ cols).reshape(len(ket_keys), tk, len(bra_keys), tb)
+        staged = np.einsum("ktlu,itu->ikl", pairs, batch)
+        # times each folded outcome's branch sum, summed onto the kept products
+        folded = staged[:, None] * fold[:, ket_keys[:, 1]][:, :, bra_keys[:, 1]]
+        w = np.eye(len(self.kept.kets))[ket_keys[:, 0]].T @ folded
+        w = w @ np.eye(len(self.kept.bras))[bra_keys[:, 0]]
+        if swap:
+            w = w.swapaxes(0, 1)
+        return np.einsum("ijab,ab->ij", w, self.keep_trace), w
 
     def outcome(self, *projectors: ModeProjector) -> tuple:
         """(Tr[P rho], unnormalized TermSum on the kept modes), as weights()."""
         prob, weights = self.weights(*projectors)
-        return prob, self.operator(weights)
+        return complex(prob[0, 0]), self.kept.operator(weights[0, 0])
 
     def kept_overlaps(self, kets) -> tuple:
-        """(A, B) with A[p, a] = <kets[p]|keep_kets[a]>, B[b, q] = <keep_bras[b]|kets[q]>.
+        """(A, B) with A[p, a] = <kets[p]|kept.kets[a]>, B[b, q] = <kept.bras[b]|kets[q]>.
 
-        kets are KetSums on the kept modes: <kets[p]|operator(W)|kets[q]>
+        kets are KetSums on the kept modes: <kets[p]|kept.operator(W)|kets[q]>
         is then (A @ W @ B)[p, q] for every W from weights().
         """
         def brakets(prods):
             return np.array(
-                [
-                    [psi.braket(KetSum(self.keep_layout, [(1.0, prod)]), self.backend)
-                     for prod in prods]
-                    for psi in kets
-                ],
+                [[psi.braket(KetSum(self.kept.layout, [(1.0, prod)]), self.backend)
+                  for prod in prods] for psi in kets],
                 dtype=complex,
             ).reshape(len(kets), len(prods))
 
-        return brakets(self.keep_kets), brakets(self.keep_bras).conj().T
+        return brakets(self.kept.kets), brakets(self.kept.bras).conj().T
 
 
 def gram_eigvals(state: TermSum, backend: Backend) -> np.ndarray:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -34,12 +34,15 @@ from .engine import (
     COHERENT_ALGEBRA,
     Backend,
     Contraction,
+    FactorTables,
     TermSum,
     apply_beam_splitter,
 )
 from .loss import LossParameter, dilate
 from .measurement import (
+    ALPHA_OUTCOME_ORDER,
     FAIL,
+    S_OUTCOME_ORDER,
     MeasurementFamily,
     OutcomeLabel,
     ProjectorSpec,
@@ -50,6 +53,15 @@ from .measurement import (
 )
 
 PROB_FLOOR = 1e-12
+
+
+class NonFiniteError(ArithmeticError):
+    """A first-principles average came out non-finite; names stage and point."""
+
+    def __init__(self, stage: str, hybrid: HybridType, alpha: float, r: float, value: float):
+        where = f"type={hybrid.value} alpha={alpha:g} r={r:g}"
+        super().__init__(f"{stage} at {where}: non-finite value {value}")
+        self.stage, self.value = stage, value
 
 
 @dataclass(frozen=True)
@@ -131,17 +143,25 @@ class OutcomeTensors:
     """Basis-pair-resolved data for one joint outcome, in the logical basis.
 
     prob[x, y] is the unnormalized weight of the outcome for the input
-    operator |x_L><y_L|; states maps (x, y) to the uncorrected (still
-    unnormalized) receiver operator rho_xy; fid[x, y, p, q] is
-    <p_L| C rho_xy C^dag |q_L> for the outcome's correction C.  Failure
-    outcomes carry probabilities only.  The arrays are read-only.
+    operator |x_L><y_L|; kept maps (x, y), x <= y, to the (KeptProducts, W)
+    of the uncorrected (still unnormalized) receiver operator rho_xy, and
+    states, built on first access, maps every (x, y) to rho_xy; fid[x, y,
+    p, q] is <p_L| C rho_xy C^dag |q_L> for the outcome's correction C.
+    Failure outcomes carry probabilities only.  The arrays are read-only.
     """
 
     label: OutcomeLabel
     correction: str
     prob: np.ndarray
-    states: dict
+    kept: dict
     fid: np.ndarray
+
+    @cached_property
+    def states(self) -> dict:
+        if self.kept is None:
+            return None
+        states = {xy: products.operator(w) for xy, (products, w) in self.kept.items()}
+        return {**states, (1, 0): states[0, 1].adjoint()}
 
 
 @lru_cache(maxsize=256)
@@ -154,33 +174,32 @@ def outcome_tensors(
     (LOGICAL_PAULI), so fid = U L U^dag with L[p, q] = <p_L|rho_xy|q_L>
     taken on the uncorrected state: no correction is applied here.  L is
     read from the contraction's kept-mode weights W as A W B, with the
-    logical-ket overlaps A and B taken once per basis pair.
+    logical-ket overlaps A and B taken once per basis pair.  One weights()
+    call per basis pair resolves both analyzers' outcome families.
     """
     labels = enumerate_outcomes(hybrid)
     corrections = [correction_lookup(hybrid, label) for label in labels]
-    analyzers = [
-        (
-            projector(ProjectorSpec(s_family(hybrid), label.s_outcome)),
-            projector(ProjectorSpec(MeasurementFamily.B_ALPHA, label.alpha_outcome)),
-        )
-        for label in labels
-    ]
+    families = (
+        [projector(ProjectorSpec(s_family(hybrid), s)) for s in S_OUTCOME_ORDER],
+        [projector(ProjectorSpec(MeasurementFamily.B_ALPHA, a)) for a in ALPHA_OUTCOME_ORDER],
+    )
     basis = DynamicBasis(alpha, LossParameter(r))
     bob_kets = [logical_ket(hybrid, bit, basis, "c") for bit in (0, 1)]
-    psi = _protocol_states(hybrid, alpha, r)
+    tables = [FactorTables(psi) for psi in _protocol_states(hybrid, alpha, r)]
 
     prob = np.zeros((len(labels), 2, 2), dtype=complex)
     logical = np.zeros((len(labels), 2, 2, 2, 2), dtype=complex)
-    states = [{} for _ in labels]
+    kept = [{} for _ in labels]
     for x, y in ((0, 0), (0, 1), (1, 1)):
-        contraction = Contraction(psi[x], psi[y], bob_kets[0].layout.names, backend)
+        contraction = Contraction(tables[x], tables[y], bob_kets[0].layout.names, backend)
         left, right = contraction.kept_overlaps(bob_kets)
-        for n, projs in enumerate(analyzers):
-            prob[n, x, y], weights = contraction.weights(*projs)
-            if corrections[n] == FAIL:
-                continue
-            states[n][x, y] = contraction.operator(weights)
-            logical[n, x, y] = left @ weights @ right
+        probs, weights = contraction.weights(*families)
+        # labels are s-major, alpha-minor: outcome pair (i, j) is label i * n_alpha + j
+        prob[:, x, y] = probs.reshape(-1)
+        weights = weights.reshape(len(labels), *weights.shape[2:])
+        logical[:, x, y] = left @ weights @ right
+        for n, w in enumerate(weights):
+            kept[n][x, y] = contraction.kept, w
     # rho_10 = rho_01^dag
     prob[:, 1, 0] = prob[:, 0, 1].conj()
     logical[:, 1, 0] = logical[:, 0, 1].conj().swapaxes(-1, -2)
@@ -191,11 +210,10 @@ def outcome_tensors(
         if correction == FAIL:
             out.append(OutcomeTensors(label, correction, prob[n], None, None))
             continue
-        states[n][1, 0] = states[n][0, 1].adjoint()
         u = LOGICAL_PAULI[correction]
         fid = np.einsum("pr,xyrs,qs->xypq", u, logical[n], u.conj())
         fid.setflags(write=False)
-        out.append(OutcomeTensors(label, correction, prob[n], states[n], fid))
+        out.append(OutcomeTensors(label, correction, prob[n], kept[n], fid))
     return tuple(out)
 
 
@@ -301,14 +319,8 @@ def teleport_once(
 
 def _success_sums(tensors) -> tuple:
     """(summed probability tensor, summed fidelity tensor) over successes."""
-    p_sum = np.zeros((2, 2), dtype=complex)
-    f_sum = np.zeros((2, 2, 2, 2), dtype=complex)
-    for data in tensors:
-        if data.correction == FAIL:
-            continue
-        p_sum += data.prob
-        f_sum += data.fid
-    return p_sum, f_sum
+    wins = [data for data in tensors if data.correction != FAIL]
+    return sum(data.prob for data in wins), sum(data.fid for data in wins)
 
 
 def average_success(
@@ -323,7 +335,10 @@ def average_success(
     p_sum, _ = _success_sums(tensors)
     m, w = quad.mu_nu_grid()
     p_nodes = np.real(np.einsum("nx,ny,xy->n", m, m.conj(), p_sum))
-    return float(np.dot(w, p_nodes))
+    value = float(np.dot(w, p_nodes))
+    if not math.isfinite(value):
+        raise NonFiniteError("average_success", hybrid, alpha, loss.r, value)
+    return value
 
 
 def average_fidelity(
@@ -341,7 +356,10 @@ def average_fidelity(
         np.einsum("nx,ny,np,nq,xypq->n", m, m.conj(), m.conj(), m, f_sum)
     )
     den = np.real(np.einsum("nx,ny,xy->n", m, m.conj(), p_sum))
-    return float(np.dot(w, num / den))
+    value = float(np.dot(w, num / den))
+    if not math.isfinite(value):
+        raise NonFiniteError("average_fidelity", hybrid, alpha, loss.r, value)
+    return value
 
 
 def group_statistics(

@@ -28,6 +28,7 @@ from hybrid_teleport.cli import (
 )
 from hybrid_teleport.crossval import CheckResult
 from hybrid_teleport.encoding import HybridType
+from hybrid_teleport.engine import COHERENT_ALGEBRA
 
 BOTH = (HybridType.TYPE_I, HybridType.TYPE_II)
 # the default sweep's CSV, as committed for the benchmark
@@ -265,6 +266,26 @@ class TestExitCodes:
         assert captured.out == ""
         assert "avg_fidelity" in captured.err
         assert "type=II alpha=1.5 r=0.3" in captured.err
+
+    @pytest.mark.parametrize("stage", ["avg_fidelity", "avg_success"])
+    def test_library_guard_is_numeric_error(self, stage, monkeypatch, capsys):
+        # the library raises on a non-finite average; the CLI reports it as
+        # its own check does
+        real = protocol.outcome_tensors(HybridType.TYPE_II, 1.5, 0.3, COHERENT_ALGEBRA)
+        poisoned = tuple(replace(data, prob=np.full((2, 2), np.nan)) for data in real)
+        monkeypatch.setattr(protocol, "outcome_tensors", lambda *args: poisoned)
+        if stage == "avg_success":
+            monkeypatch.setattr(protocol, "average_fidelity", lambda *a, **k: 0.9)
+        code = main(["--type", "II", "--alpha", "1.5", "--r-min", "0.3",
+                     "--r-max", "0.3", "--engine", "first-principles-coherent"])
+        captured = capsys.readouterr()
+        assert code == EXIT_NUMERIC
+        assert captured.out == ""
+        assert captured.err == (
+            f"numeric error: numeric failure in {stage} (first-principles-coherent) "
+            "at type=II alpha=1.5 r=0.3: non-finite value nan\n"
+        )
+
 
 
 class TestEntryPoint:

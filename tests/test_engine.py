@@ -439,6 +439,25 @@ class TestContraction:
         ),
     }
 
+    # q's catch-all {vacuum, two photons} is one outcome of two branches
+    Q_FAMILY = (
+        ((("q", FILTER_SINGLE),),),
+        ((("q", FILTER_VACUUM),), (("q", NumberFilter("n", 2)),)),
+    )
+    C_FAMILY = (
+        ((("C", FILTER_ODD),),),
+        ((("C", FILTER_EVEN_GE2),),),
+        ((("C", FILTER_VACUUM),),),
+    )
+
+    # name -> families passed together to weights(), each a tuple of branch
+    # tables (its outcomes); every PROJECTORS case is a set of families of one
+    FAMILIES = {
+        "families": (Q_FAMILY, C_FAMILY),
+        # C is left to the plain trace, as an environment mode
+        "family": (Q_FAMILY,),
+    }
+
     def _psi(self):
         return KetSum(
             self.LAYOUT,
@@ -489,48 +508,78 @@ class TestContraction:
     @pytest.mark.parametrize("backend", BACKENDS, ids=lambda b: b.kind)
     @pytest.mark.parametrize(
         "case",
-        list(PROJECTORS)
-        + [name + "-cross" for name in PROJECTORS]
-        + [name + "-scaled" for name in PROJECTORS],
+        [name + pair for name in list(PROJECTORS) + list(FAMILIES)
+         for pair in ("", "-cross", "-scaled")],
     )
     def test_matches_dense_oracle(self, backend, case):
         # "-cross" cases contract |psi><phi| with phi != psi; "-scaled" ones
-        # a ket whose terms carry proportional but unequal factors
+        # a ket whose terms carry proportional but unequal factors.  Every
+        # outcome pair of the batched weights() call must match both the
+        # family-of-one call and the dense oracle of the joint projector.
         name, _, pair = case.partition("-")
-        tables = self.PROJECTORS[name]
+        families = self.FAMILIES.get(name) or tuple((t,) for t in self.PROJECTORS[name])
+        families = [[ModeProjector(table) for table in fam] for fam in families]
         ket = self._scaled() if pair == "scaled" else self._psi()
         bra = self._phi() if pair == "cross" else ket
         rho = ket.outer(bra)
-        projs = [ModeProjector(table) for table in tables]
         contraction = Contraction(ket, bra, ("p",), backend)
-        prob, reduced = contraction.outcome(*projs)
-        joint = ModeProjector(tuple(sum(bs, ()) for bs in itertools.product(*tables)))
-        want_prob, want_reduced = self._oracle(rho, joint)
-        assert reduced.layout.names == ("p",)
-        assert abs(prob - want_prob) < 1e-10
-        if pair == "cross":
-            # a cross term Tr[P |psi><phi|] has no fixed sign
-            assert abs(prob) > 0.0
-        else:
-            assert 0.0 < prob.real
-        assert np.allclose(dense_operator(reduced), want_reduced, atol=1e-10)
-        # matrix elements read from the weights, between multi-term kept kets
-        kept = reduced.layout
+        probs, weights = contraction.weights(*families)
+        assert probs.shape == tuple(map(len, families)) + (1,) * (2 - len(families))
+        if len(families) == 2:
+            # the folded and the batched family trade places
+            swapped = contraction.weights(*families[::-1])
+            assert np.allclose(swapped[0], probs.T, rtol=0.0, atol=1e-14)
+            assert np.allclose(swapped[1], weights.swapaxes(0, 1), rtol=0.0, atol=1e-14)
+        kept = contraction.kept.layout
         reads = [
             KetSum(kept, [(0.6, (fock(0),)), (0.8j, (FockVector((0.0, 2.0)),))]),
             KetSum(kept, [(1.0, (FockVector((0.3, -0.4)),))]),
         ]
         left, right = contraction.kept_overlaps(reads)
         vecs = np.array([dense_ket(k) for k in reads])
-        want = vecs.conj() @ want_reduced @ vecs.T
-        assert np.allclose(left @ contraction.weights(*projs)[1] @ right, want, atol=1e-10)
+        for cell in np.ndindex(probs.shape):
+            projs = [fam[i] for fam, i in zip(families, cell)]
+            one_prob, one_weights = contraction.weights(*projs)
+            assert abs(probs[cell] - one_prob[0, 0]) < 1e-14
+            assert np.allclose(weights[cell], one_weights[0, 0], rtol=0.0, atol=1e-14)
+            prob, reduced = contraction.outcome(*projs)
+            joint = ModeProjector(
+                tuple(sum(bs, ()) for bs in itertools.product(*(p.branches for p in projs)))
+            )
+            want_prob, want_reduced = self._oracle(rho, joint)
+            assert reduced.layout.names == ("p",)
+            assert abs(prob - want_prob) < 1e-10
+            if pair == "cross":
+                # a cross term Tr[P |psi><phi|] has no fixed sign
+                assert abs(prob) > 0.0
+            else:
+                assert 0.0 < prob.real
+            assert np.allclose(dense_operator(reduced), want_reduced, atol=1e-10)
+            # matrix elements read from the weights, between multi-term kept kets
+            want = vecs.conj() @ want_reduced @ vecs.T
+            assert np.allclose(left @ weights[cell] @ right, want, atol=1e-10)
+
+    def test_empty_ket_contracts_to_zero(self):
+        # a ket whose terms all cancelled still contracts, to nothing
+        empty = KetSum(self.LAYOUT, [])
+        contraction = Contraction(empty, self._psi(), ("p",), COHERENT_ALGEBRA)
+        probs, weights = contraction.weights([ModeProjector(t) for t in self.Q_FAMILY])
+        assert probs.shape == (2, 1) and not np.any(probs)
+        assert weights.size == 0
+        assert contraction.outcome()[1].terms == []
 
     def test_rejects_overlapping_projectors(self):
         psi = self._psi()
         on_q = ModeProjector(((("q", FILTER_SINGLE),),))
         on_q_and_c = ModeProjector(((("q", FILTER_VACUUM), ("C", FILTER_ODD)),))
+        contraction = Contraction(psi, psi, ("p",), COHERENT_ALGEBRA)
         with pytest.raises(ValueError, match="disjoint"):
-            Contraction(psi, psi, ("p",), COHERENT_ALGEBRA).outcome(on_q, on_q_and_c)
+            contraction.outcome(on_q, on_q_and_c)
+        # families: only the second family's last outcome reaches into q
+        on_q = [ModeProjector(table) for table in self.Q_FAMILY]
+        on_c = [ModeProjector(table) for table in self.C_FAMILY]
+        with pytest.raises(ValueError, match="disjoint"):
+            contraction.weights(on_q, on_c + [on_q_and_c])
 
     @pytest.mark.parametrize("canonical", [False, True], ids=["as-given", "canonical"])
     @pytest.mark.parametrize("backend", BACKENDS, ids=lambda b: b.kind)

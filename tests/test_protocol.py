@@ -1,13 +1,14 @@
 """First-principles protocol simulation: reports, averages, invariants."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hybrid_teleport import formulas
+from hybrid_teleport import formulas, protocol
 from hybrid_teleport.encoding import (
     LOGICAL_PAULI,
     BlochAngles,
@@ -15,10 +16,16 @@ from hybrid_teleport.encoding import (
     HybridType,
     logical_ket,
 )
-from hybrid_teleport.engine import COHERENT_ALGEBRA, TRUNCATED_FOCK, trace_distance
+from hybrid_teleport.engine import (
+    COHERENT_ALGEBRA,
+    TRUNCATED_FOCK,
+    Contraction,
+    trace_distance,
+)
 from hybrid_teleport.loss import LossParameter
 from hybrid_teleport.measurement import FAIL, success_outcomes
 from hybrid_teleport.protocol import (
+    NonFiniteError,
     SphereQuadrature,
     average_fidelity,
     average_success,
@@ -267,6 +274,42 @@ class TestLogicalRead:
                 )
                 want = u @ logical @ u.conj().T
                 assert np.allclose(data.fid[x, y], want, rtol=0.0, atol=1e-14)
+
+
+class TestBatchedContraction:
+    @pytest.mark.parametrize("hybrid", HYBRIDS)
+    def test_one_weights_call_per_basis_pair(self, hybrid, monkeypatch):
+        # both analyzers' outcome families go through one call per basis pair
+        calls = []
+        weights = Contraction.weights
+
+        def counted(self, *families):
+            calls.append(len(families))
+            return weights(self, *families)
+
+        monkeypatch.setattr(Contraction, "weights", counted)
+        # __wrapped__ bypasses the lru cache: the call is always cold
+        outcome_tensors.__wrapped__(hybrid, 2.0, 0.5, COHERENT_ALGEBRA)
+        assert calls == [2, 2, 2]
+
+
+def poisoned_tensors(hybrid, alpha, r):
+    """The point's outcome tensors with every probability set to NaN."""
+    real = outcome_tensors(hybrid, alpha, r, COHERENT_ALGEBRA)
+    return tuple(replace(data, prob=np.full((2, 2), np.nan)) for data in real)
+
+
+class TestNonFiniteGuard:
+    @pytest.mark.parametrize("average", [average_fidelity, average_success])
+    def test_names_stage_and_point(self, average, monkeypatch):
+        poisoned = poisoned_tensors(HybridType.TYPE_II, 1.5, 0.3)
+        monkeypatch.setattr(protocol, "outcome_tensors", lambda *args: poisoned)
+        with pytest.raises(NonFiniteError) as info:
+            average(HybridType.TYPE_II, 1.5, LossParameter(0.3))
+        assert str(info.value) == (
+            f"{average.__name__} at type=II alpha=1.5 r=0.3: non-finite value nan"
+        )
+        assert info.value.stage == average.__name__
 
 
 class TestTypeIOutcomeIndependence:
