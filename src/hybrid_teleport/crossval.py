@@ -232,14 +232,8 @@ def check_backend_equivalence(
         for alpha in alphas:
             for r in rs:
                 loss = LossParameter(r)
-                rep_c = teleport_once(
-                    hybrid, alpha, loss, DEFAULT_ANGLES,
-                    backend=COHERENT_ALGEBRA, include_states=False,
-                )
-                rep_f = teleport_once(
-                    hybrid, alpha, loss, DEFAULT_ANGLES,
-                    backend=TRUNCATED_FOCK, include_states=False,
-                )
+                rep_c = teleport_once(hybrid, alpha, loss, DEFAULT_ANGLES, COHERENT_ALGEBRA)
+                rep_f = teleport_once(hybrid, alpha, loss, DEFAULT_ANGLES, TRUNCATED_FOCK)
                 for ec, ef in zip(rep_c.entries, rep_f.entries):
                     worst = max(worst, abs(ec.probability - ef.probability))
                     if ec.fidelity is not None and ef.fidelity is not None:

@@ -24,6 +24,7 @@ from .engine import (
     Backend,
     Coherent,
     Contraction,
+    FactorTables,
     FockVector,
     KetSum,
     ModeLayout,
@@ -32,7 +33,7 @@ from .engine import (
     apply_beam_splitter,
     default_cutoff,
     fock,
-    overlap_product,
+    term_overlaps,
     trace_distance,
 )
 from .loss import LossParameter
@@ -348,15 +349,15 @@ def bell_decomposition_check(
 
 
 def _partial_inner(bra: KetSum, psi: KetSum, backend: Backend) -> KetSum:
-    """<bra| psi> contracted over the bra's modes, a ket on the rest."""
-    lay = psi.layout
-    bra_idx = [lay.index(n) for n in bra.layout.names]
-    keep_idx = [i for i in range(len(lay.names)) if lay.names[i] not in bra.layout.names]
-    sub = lay.subset(tuple(lay.names[i] for i in keep_idx))
-    bra_cuts = [lay.cutoffs[m] for m in bra_idx]
-    terms = []
-    for cb, kb in bra.terms:
-        for cp, kp in psi.terms:
-            f = overlap_product(kb, [kp[m] for m in bra_idx], backend, bra_cuts)
-            terms.append((cb.conjugate() * cp * f, tuple(kp[i] for i in keep_idx)))
-    return KetSum(sub, terms)
+    """<bra| psi> contracted over the bra's modes, a ket on the rest: one term per psi term."""
+    lay, names = psi.layout, bra.layout.names
+    keep = tuple(n for n in lay.names if n not in names)
+    # each psi term's factors on the bra's modes, and on the rest
+    met, rest = (
+        [tuple(kets[i] for i in idx) for _, kets in psi.terms]
+        for idx in ([lay.index(n) for n in modes] for modes in (names, keep))
+    )
+    met = FactorTables(KetSum(lay.subset(names), [(c, k) for (c, _), k in zip(psi.terms, met)]))
+    bra = FactorTables(bra)
+    coeffs = met.coeffs * (term_overlaps(met, bra, backend) @ bra.coeffs.conj())
+    return KetSum(lay.subset(keep), zip(coeffs, rest))

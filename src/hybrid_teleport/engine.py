@@ -253,16 +253,6 @@ def overlap(bra: LocalKet, ket: LocalKet, backend: Backend, cutoff: int) -> comp
     )
 
 
-def overlap_product(bras, kets, backend: Backend, cutoffs) -> complex:
-    """Prod_m <bras[m]|kets[m]> over paired per-mode factors of two products."""
-    f = 1.0 + 0.0j
-    for bra, ket, cut in zip(bras, kets, cutoffs):
-        f *= overlap(bra, ket, backend, cut)
-        if f == 0:
-            break
-    return f
-
-
 # ---------------------------------------------------------------------------
 # photon-number filters
 
@@ -474,12 +464,8 @@ class KetSum:
         """<self|other>."""
         if other.layout.names != self.layout.names:
             raise ValueError("layout mismatch")
-        cuts = self.layout.cutoffs
-        acc = 0.0 + 0.0j
-        for cb, kb in self.terms:
-            for ck, kk in other.terms:
-                acc += cb.conjugate() * ck * overlap_product(kb, kk, backend, cuts)
-        return acc
+        ket, bra = FactorTables(other), FactorTables(self)
+        return complex(ket.coeffs @ term_overlaps(ket, bra, backend) @ bra.coeffs.conj())
 
     def norm2(self, backend: Backend) -> float:
         return float(self.braket(self, backend).real)
@@ -544,31 +530,26 @@ class TermSum:
     def canonicalized(self) -> "TermSum":
         return TermSum(self.layout, _canonical_terms(self.terms))
 
+    def _sides(self) -> tuple:
+        """FactorTables of the left products (with the coefficients) and of the right ones."""
+        return (
+            FactorTables(KetSum(self.layout, [(c, l) for c, l, _ in self.terms])),
+            FactorTables(KetSum(self.layout, [(1.0, r) for _, _, r in self.terms])),
+        )
+
     def trace(self, backend: Backend) -> complex:
-        cuts = self.layout.cutoffs
-        acc = 0.0 + 0.0j
-        for c, lefts, rights in self.terms:
-            acc += c * overlap_product(rights, lefts, backend, cuts)
-        return acc
+        """sum_t c_t <R_t|L_t>."""
+        lefts, rights = self._sides()
+        lk, rk, sums = product_sums(lefts, rights, self.layout.names, (NO_PROJECTOR,), backend)
+        return complex(np.sum(lefts.coeffs * sums[0][lk, rk]))
 
     def matrix_element(self, bra: KetSum, ket: KetSum, backend: Backend) -> complex:
         """<bra| self |ket>, as sum_t c_t <bra|L_t> <R_t|ket>."""
-        cuts = self.layout.cutoffs
-        acc = 0.0 + 0.0j
-        for c, lefts, rights in self.terms:
-            left = sum(
-                cb.conjugate() * overlap_product(kb, lefts, backend, cuts)
-                for cb, kb in bra.terms
-            )
-            right = sum(
-                ck * overlap_product(rights, kk, backend, cuts)
-                for ck, kk in ket.terms
-            )
-            acc += c * left * right
-        return acc
-
-    def expectation(self, psi: KetSum, backend: Backend) -> complex:
-        return self.matrix_element(psi, psi, backend)
+        lefts, rights = self._sides()
+        bra, ket = FactorTables(bra), FactorTables(ket)
+        left = term_overlaps(lefts, bra, backend) @ bra.coeffs.conj()
+        right = ket.coeffs @ term_overlaps(ket, rights, backend)
+        return complex(np.sum(lefts.coeffs * left * right))
 
 
 def apply_beam_splitter(
@@ -649,12 +630,57 @@ class FactorTables:
             name: _distinct([kets[i] for _, kets in ket.terms])
             for i, name in enumerate(ket.layout.names)
         }
+        self._tuples = {}
 
-    def tuples(self, modes: tuple) -> tuple:
-        """(distinct tuples of factor ids on modes, as array rows; each term's row)."""
-        rows = list(zip(*(self.modes[m][1].tolist() for m in modes))) or [()] * len(self.coeffs)
-        firsts, ids = _distinct(rows)
-        return np.array(firsts, dtype=np.int64).reshape(len(firsts), len(modes)), ids
+    def tuples(self, modes) -> tuple:
+        """(distinct tuples of factor ids on modes, as array rows; each term's row); cached."""
+        modes = tuple(modes)
+        if modes not in self._tuples:
+            rows = list(zip(*(self.modes[m][1].tolist() for m in modes))) or [()] * len(self.coeffs)
+            firsts, ids = _distinct(rows)
+            firsts = np.array(firsts, dtype=np.int64).reshape(len(firsts), len(modes))
+            self._tuples[modes] = firsts, ids
+        return self._tuples[modes]
+
+
+def product_sums(ket: FactorTables, bra: FactorTables, modes: tuple, family: tuple,
+                 backend: Backend) -> tuple:
+    """(ket tuple ids, bra tuple ids, S): the one product-sum overlap routine.
+
+    S[i, t, u] sums, over the branches of projector family[i], the product
+    over modes of <bra factor|filter|ket factor> on the t-th distinct ket
+    and the u-th distinct bra tuple of factor ids on modes; a mode a branch
+    leaves unnamed gets FILTER_ALL, so (NO_PROJECTOR,) gives plain overlaps.
+    Each mode's values are one table over its distinct factors, taken once
+    per filter and gathered onto the tuples by factor ids.
+    """
+    (ket_rows, ket_ids), (bra_rows, bra_ids) = ket.tuples(modes), bra.tuples(modes)
+    lay = ket.layout
+    grids = {}
+    sums = np.zeros((len(family), len(ket_rows), len(bra_rows)), dtype=complex)
+    for total, proj in zip(sums, family):
+        for branch in proj.branches:
+            filters = dict(branch)
+            acc = np.ones(total.shape, dtype=complex)
+            for pos, mode in enumerate(modes):
+                filt = filters.get(mode, FILTER_ALL)
+                grid = grids.get((mode, filt))
+                if grid is None:
+                    kets, bras = ket.modes[mode][0], bra.modes[mode][0]
+                    cut = lay.cutoffs[lay.index(mode)]
+                    vals = np.array([[filtered_overlap(b, filt, k, backend, cut)
+                                      for b in bras] for k in kets], dtype=complex)
+                    vals = vals.reshape(len(kets), len(bras))
+                    grid = grids[mode, filt] = vals[ket_rows[:, pos, None], bra_rows[:, pos]]
+                acc = acc * grid
+            total += acc
+    return ket_ids, bra_ids, sums
+
+
+def term_overlaps(ket: FactorTables, bra: FactorTables, backend: Backend) -> np.ndarray:
+    """G[i, j] = <bra term j|ket term i> over the ket's modes, coefficients left out."""
+    ket_ids, bra_ids, sums = product_sums(ket, bra, ket.layout.names, (NO_PROJECTOR,), backend)
+    return sums[0][ket_ids[:, None], bra_ids]
 
 
 @dataclass(frozen=True)
@@ -698,7 +724,7 @@ class Contraction:
             for side in (ket, bra)
         )
         keep = tuple(keep)
-        self.layout = lay = ket.layout
+        lay = ket.layout
         self.backend = backend
         self.traced = tuple(n for n in lay.names if n not in keep)
         kept = [
@@ -707,37 +733,9 @@ class Contraction:
         ]
         self.kept = KeptProducts(lay.subset(keep), *map(tuple, kept))
         # Tr of |kept ket a><kept bra b|, and each term's kept product
-        self.ket_kept, self.bra_kept, trace = self._branch_sums(keep, (NO_PROJECTOR,))
+        self.ket_kept, self.bra_kept, trace = product_sums(self.ket, self.bra, keep,
+                                                           (NO_PROJECTOR,), backend)
         self.keep_trace = trace[0]
-
-    def _branch_sums(self, modes: tuple, family: tuple) -> tuple:
-        """(ket tuple ids, bra tuple ids, S): a family's branch sums on modes.
-
-        S[i, t, u] sums the branches of family[i] on the t-th distinct ket
-        and the u-th distinct bra tuple of factor ids on modes, from per-mode
-        <bra|filter|ket> matrices of the distinct factors; a mode a branch
-        leaves unnamed gets FILTER_ALL.
-        """
-        (ket_rows, ket_ids), (bra_rows, bra_ids) = self.ket.tuples(modes), self.bra.tuples(modes)
-        grids = {}
-        sums = np.zeros((len(family), len(ket_rows), len(bra_rows)), dtype=complex)
-        for total, proj in zip(sums, family):
-            for branch in proj.branches:
-                filters = dict(branch)
-                acc = np.ones(total.shape, dtype=complex)
-                for pos, mode in enumerate(modes):
-                    filt = filters.get(mode, FILTER_ALL)
-                    grid = grids.get((mode, filt))
-                    if grid is None:
-                        kets, bras = self.ket.modes[mode][0], self.bra.modes[mode][0]
-                        cut = self.layout.cutoffs[self.layout.index(mode)]
-                        vals = np.array([[filtered_overlap(b, filt, k, self.backend, cut)
-                                          for b in bras] for k in kets], dtype=complex)
-                        vals = vals.reshape(len(kets), len(bras))
-                        grid = grids[mode, filt] = vals[np.ix_(ket_rows[:, pos], bra_rows[:, pos])]
-                    acc = acc * grid
-                total += acc
-        return ket_ids, bra_ids, sums
 
     def weights(self, *families) -> tuple:
         """(prob, W) for every outcome pair of up to two projector families.
@@ -759,9 +757,10 @@ class Contraction:
         if set(named[0]) & set(named[1]):
             raise ValueError("projector families must act on disjoint modes")
         env = tuple(m for m in self.traced if m not in named[0] + named[1])
-        env_k, env_b, plain = self._branch_sums(env, (NO_PROJECTOR,))
-        q = np.outer(self.ket.coeffs, self.bra.coeffs.conj()) * plain[0][np.ix_(env_k, env_b)]
-        sums = [self._branch_sums(modes, fam) for modes, fam in zip(named, fams)]
+        env_k, env_b, plain = product_sums(self.ket, self.bra, env, (NO_PROJECTOR,), self.backend)
+        q = np.outer(self.ket.coeffs, self.bra.coeffs.conj()) * plain[0][env_k[:, None], env_b]
+        sums = [product_sums(self.ket, self.bra, modes, fam, self.backend)
+                for modes, fam in zip(named, fams)]
         swap = sums[0][2][0].size < sums[1][2][0].size
         (batch_k, batch_b, batch), (fold_k, fold_b, fold) = sums[::-1] if swap else sums
         # keys (kept product, folded tuple), and each term's key
@@ -795,14 +794,18 @@ class Contraction:
         kets are KetSums on the kept modes: <kets[p]|kept.operator(W)|kets[q]>
         is then (A @ W @ B)[p, q] for every W from weights().
         """
-        def brakets(prods):
-            return np.array(
-                [[psi.braket(KetSum(self.kept.layout, [(1.0, prod)]), self.backend)
-                  for prod in prods] for psi in kets],
-                dtype=complex,
-            ).reshape(len(kets), len(prods))
+        reads = FactorTables(KetSum(self.kept.layout, [t for psi in kets for t in psi.terms]))
+        owner = np.repeat(np.arange(len(kets)), [len(psi.terms) for psi in kets])
+        # mix[p, j]: read term j's coefficient if it belongs to kets[p]
+        mix = np.eye(len(kets))[owner].T * reads.coeffs
 
-        return brakets(self.kept.kets), brakets(self.kept.bras).conj().T
+        def brakets(side):
+            # rows of S are side's distinct kept tuples: the order of kept.kets/bras
+            _, ids, sums = product_sums(side, reads, reads.layout.names, (NO_PROJECTOR,),
+                                        self.backend)
+            return mix.conj() @ sums[0][:, ids].T
+
+        return brakets(self.ket), brakets(self.bra).conj().T
 
 
 def gram_eigvals(state: TermSum, backend: Backend) -> np.ndarray:
@@ -813,7 +816,6 @@ def gram_eigvals(state: TermSum, backend: Backend) -> np.ndarray:
     canonicalized first: product kets then match exactly, and near-equal
     ones have already been merged.
     """
-    cuts = state.layout.cutoffs
     st = state.canonicalized()
     # ids alternate left, right per term
     kets, ids = _distinct(
@@ -824,12 +826,9 @@ def gram_eigvals(state: TermSum, backend: Backend) -> np.ndarray:
         return np.zeros(0)
     mat = np.zeros((n, n), dtype=complex)
     np.add.at(mat, (ids[0::2], ids[1::2]), [c for c, _, _ in st.terms])
-    gram = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(i, n):
-            gram[i, j] = overlap_product(kets[i], kets[j], backend, cuts)
-            gram[j, i] = gram[i, j].conjugate()
-    lam, vec = np.linalg.eigh(gram)
+    prods = FactorTables(KetSum(st.layout, [(1.0, prod) for prod in kets]))
+    # gram[i, j] = <kets[i]|kets[j]>
+    lam, vec = np.linalg.eigh(term_overlaps(prods, prods, backend).T)
     good = lam > max(1e-12 * max(lam.max(), 1.0), 1e-14)
     w = (vec[:, good] * np.sqrt(lam[good])).conj().T
     h = w @ mat @ w.conj().T

@@ -13,8 +13,8 @@ and any conditional state follow by cheap contraction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
@@ -56,7 +56,7 @@ PROB_FLOOR = 1e-12
 
 
 class NonFiniteError(ArithmeticError):
-    """A first-principles average came out non-finite; names stage and point."""
+    """A first-principles result came out non-finite; names stage and point."""
 
     def __init__(self, stage: str, hybrid: HybridType, alpha: float, r: float, value: float):
         where = f"type={hybrid.value} alpha={alpha:g} r={r:g}"
@@ -219,14 +219,34 @@ def outcome_tensors(
 
 @dataclass(frozen=True)
 class OutcomeRecord:
-    """One joint outcome of a specific teleportation run."""
+    """One joint outcome of a specific teleportation run.
+
+    state, the corrected normalized receiver state, is built on first read
+    from source = (hybrid type, OutcomeTensors, input weights w[x, y]); it
+    is None where fidelity is (a failure, or probability <= PROB_FLOOR).
+    """
 
     label: OutcomeLabel
     correction: str
     probability: float
-    state: TermSum
     fidelity: float
     relabel: bool
+    source: tuple = field(repr=False, compare=False)
+
+    @cached_property
+    def state(self) -> TermSum:
+        if self.fidelity is None:
+            return None
+        hybrid, data, w = self.source
+        rho = TermSum(
+            data.states[0, 0].layout,
+            [
+                (w[xy] / self.probability * c, l, r)
+                for xy, ts in data.states.items()
+                for c, l, r in ts.terms
+            ],
+        )
+        return apply_correction(rho, hybrid, data.correction).canonicalized()
 
 
 @dataclass(frozen=True)
@@ -262,7 +282,6 @@ def teleport_once(
     loss: LossParameter,
     angles: BlochAngles,
     backend: Backend = COHERENT_ALGEBRA,
-    include_states: bool = True,
 ) -> TeleportReport:
     """Run the protocol for one Bloch input and resolve every outcome."""
     tensors = outcome_tensors(hybrid, alpha, loss.r, backend)
@@ -274,23 +293,12 @@ def teleport_once(
     for data in tensors:
         p = float(np.real(np.sum(w * data.prob)))
         success = data.correction != FAIL
-        state = None
         fidelity = None
         if success and p > PROB_FLOOR:
             num = float(
                 np.real(np.einsum("xy,pq,xypq->", w, np.outer(m.conj(), m), data.fid))
             )
             fidelity = num / p
-            if include_states:
-                rho = TermSum(
-                    data.states[0, 0].layout,
-                    [
-                        (w[xy] / p * c, l, r)
-                        for xy, ts in data.states.items()
-                        for c, l, r in ts.terms
-                    ],
-                )
-                state = apply_correction(rho, hybrid, data.correction).canonicalized()
             p_success += p
             pf_success += num
         elif success:
@@ -300,12 +308,15 @@ def teleport_once(
                 label=data.label,
                 correction=data.correction,
                 probability=p,
-                state=state,
                 fidelity=fidelity,
                 relabel=success and correction_is_relabel(hybrid, data.correction),
+                source=(hybrid, data, w),
             )
         )
     cond_fid = pf_success / p_success if p_success > PROB_FLOOR else 0.0
+    for stage, value in (("success probability", p_success), ("conditional fidelity", cond_fid)):
+        if not math.isfinite(value):
+            raise NonFiniteError(f"teleport_once {stage}", hybrid, alpha, loss.r, value)
     return TeleportReport(
         hybrid=hybrid,
         alpha=alpha,
@@ -374,28 +385,21 @@ def group_statistics(
 
     groups maps a key to a collection of (s_outcome, alpha_outcome) pairs;
     the result maps the key to (probability, fidelity, normalized state).
+    The fidelity is sum_m p_m F_m / sum_m p_m over the members' records.
     """
     report = teleport_once(hybrid, alpha, loss, angles, backend)
     out = {}
     for key, members in groups.items():
-        p_tot = 0.0
-        acc = None
-        for s, a in members:
-            rec = report.entry(s, a)
+        records = [report.entry(s, a) for s, a in members]
+        for rec in records:
             if rec.correction == FAIL:
-                raise ValueError(f"group {key} contains failure outcome {s},{a}")
-            p_tot += rec.probability
-            if rec.state is not None:
-                piece = rec.state.scaled(rec.probability)
-                acc = piece if acc is None else acc + piece
-        state = acc.scaled(1.0 / p_tot).canonicalized() if p_tot > PROB_FLOOR else None
-        fid = None
-        if state is not None:
-            basis = DynamicBasis(alpha, loss)
-            phi = None
-            for bit, amp in ((0, angles.mu), (1, angles.nu)):
-                piece = logical_ket(hybrid, bit, basis, "c").scaled(amp)
-                phi = piece if phi is None else phi + piece
-            fid = float(state.expectation(phi, backend).real)
-        out[key] = (p_tot, fid, state)
+                raise ValueError(f"group {key} contains failure outcome {rec.label}")
+        p_tot = sum(rec.probability for rec in records)
+        live = [rec for rec in records if rec.fidelity is not None]
+        if p_tot <= PROB_FLOOR or not live:
+            out[key] = (p_tot, None, None)
+            continue
+        acc = reduce(TermSum.__add__, (rec.state.scaled(rec.probability) for rec in live))
+        fid = sum(rec.probability * rec.fidelity for rec in live) / p_tot
+        out[key] = (p_tot, fid, acc.scaled(1.0 / p_tot).canonicalized())
     return out

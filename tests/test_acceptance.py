@@ -128,8 +128,7 @@ def test_criterion_04_lossless_sanity(capsys):
     for hybrid in HybridType:
         for alpha in (0.5, 1.0, 2.0):
             for ang in angles:
-                rep = teleport_once(hybrid, alpha, LossParameter(0.0), ang,
-                                    include_states=False)
+                rep = teleport_once(hybrid, alpha, LossParameter(0.0), ang)
                 want_p = 1.0 - 0.5 * math.exp(-2.0 * alpha * alpha)
                 worst_p = max(worst_p, abs(rep.success_probability - want_p))
                 for e in rep.entries:
@@ -191,8 +190,7 @@ def test_criterion_09_probability_bookkeeping(capsys):
     excluded = [("1", "3"), ("1", "4"), ("2", "1"), ("2", "2")]
     for hybrid in HybridType:
         for r in (0.0, 0.3, 0.6, 0.9):
-            rep = teleport_once(hybrid, 1.0, LossParameter(r), BlochAngles(1.1, 2.3),
-                                include_states=False)
+            rep = teleport_once(hybrid, 1.0, LossParameter(r), BlochAngles(1.1, 2.3))
             total = sum(e.probability for e in rep.entries)
             worst_sum = max(worst_sum, abs(total - 1.0))
             if hybrid is HybridType.TYPE_I:

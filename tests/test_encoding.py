@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from hybrid_teleport.encoding import (
     LOGICAL_PAULI,
+    _partial_inner,
     BlochAngles,
     DynamicBasis,
     HybridType,
@@ -26,11 +27,14 @@ from hybrid_teleport.encoding import (
 )
 from hybrid_teleport.engine import (
     COHERENT_ALGEBRA,
+    TRUNCATED_FOCK,
     Coherent,
     Contraction,
     FockVector,
     KetSum,
+    ModeLayout,
     ModeProjector,
+    Role,
     fock,
     ket_vector,
     trace_distance,
@@ -289,3 +293,45 @@ class TestBellDecomposition:
     def test_residual_small_random_angles(self, u, v):
         res = bell_decomposition_check(HybridType.TYPE_II, 1.0, BlochAngles(u, v))
         assert res < 1e-8
+
+
+class TestPartialInner:
+    # the bra covers q and A, out of layout order; p and B remain
+    LAYOUT = ModeLayout(
+        ("p", "A", "q", "B"), (2, 12, 2, 12),
+        (Role.PHOTONIC, Role.COHERENT, Role.PHOTONIC, Role.COHERENT),
+    )
+
+    @pytest.mark.parametrize("backend", (COHERENT_ALGEBRA, TRUNCATED_FOCK), ids=lambda b: b.kind)
+    def test_matches_dense_oracle(self, backend):
+        psi = KetSum(self.LAYOUT, [
+            (0.6, (fock(1), Coherent(0.8), FockVector((0.6, 0.8)), Coherent(-0.5))),
+            (0.5j, (fock(0), Coherent(-0.8), fock(1), Coherent(0.3j))),
+            (0.3, (FockVector((1.0, 1.0)), Coherent(0.8), fock(0), Coherent(-0.5))),
+            (-0.2, (fock(1), Coherent(0.2 + 0.4j), fock(1), Coherent(0.3j))),
+        ])
+        # bra terms that are not orthogonal to each other
+        bra = KetSum(self.LAYOUT.subset(("q", "A")), [
+            (0.7, (fock(1), Coherent(0.8))),
+            (0.4 - 0.2j, (FockVector((0.6, -0.8)), Coherent(-0.8))),
+            (0.5, (fock(0), Coherent(0.1))),
+        ])
+        got = _partial_inner(bra, psi, backend)
+        assert got.layout.names == ("p", "B")
+        assert len(got.terms) <= len(psi.terms)
+        dims = [cut + 1 for cut in self.LAYOUT.cutoffs]
+        psi_d = dense_vector(psi).reshape(dims)
+        bra_d = dense_vector(bra).reshape(dims[2], dims[1])
+        want = np.einsum("paqb,qa->pb", psi_d, bra_d.conj()).reshape(-1)
+        assert np.allclose(dense_vector(got), want, rtol=0.0, atol=1e-10)
+
+
+def dense_vector(state: KetSum) -> np.ndarray:
+    """Dense truncated-Fock vector of a ket sum (oracle)."""
+    def vec(kets):
+        out = np.ones(1, dtype=complex)
+        for k, cut in zip(kets, state.layout.cutoffs):
+            out = np.kron(out, ket_vector(k, cut))
+        return out
+
+    return sum(c * vec(kets) for c, kets in state.terms)

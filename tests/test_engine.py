@@ -37,6 +37,7 @@ from hybrid_teleport.engine import (
     default_cutoff,
     filtered_overlap,
     fock,
+    gram_eigvals,
     ket_vector,
     normalize_ket,
     overlap,
@@ -599,3 +600,26 @@ class TestContraction:
         assert abs(op.trace(backend) - np.trace(dense)) < 1e-10
         want = np.vdot(vphi, dense @ vpsi)
         assert abs(op.matrix_element(phi, psi, backend) - want) < 1e-10
+
+    @pytest.mark.parametrize("backend", BACKENDS, ids=lambda b: b.kind)
+    def test_gram_eigvals_match_dense_oracle(self, backend):
+        # a Hermitian operator whose product kets repeat across its terms and
+        # overlap without being orthogonal (coherent factors, proportional and
+        # superposed Fock factors), against the dense spectrum
+        psi, phi, scaled = self._psi(), self._phi(), self._scaled()
+        op = (
+            psi.dm().scaled(0.7)
+            + phi.dm().scaled(-0.4)
+            + psi.outer(phi).scaled(0.2j)
+            + phi.outer(psi).scaled(-0.2j)
+            + scaled.dm().scaled(0.1)
+        )
+        dense = dense_operator(op)
+        got = gram_eigvals(op, backend)
+        assert 0 < len(got) < dense.shape[0]
+        # the eigenvalues outside the products' span are zero
+        padded = np.sort(np.concatenate([got, np.zeros(dense.shape[0] - len(got))]))
+        assert np.allclose(padded, np.linalg.eigvalsh(dense), rtol=0.0, atol=1e-10)
+        other = phi.dm() + scaled.dm().scaled(0.3)
+        want = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(dense - dense_operator(other))))
+        assert abs(trace_distance(op, other, backend) - want) < 1e-10

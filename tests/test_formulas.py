@@ -215,7 +215,7 @@ class TestGroups:
         phi = logical_ket(HybridType.TYPE_II, 0, basis).scaled(ANGLES.mu) + logical_ket(
             HybridType.TYPE_II, 1, basis
         ).scaled(ANGLES.nu)
-        got = state.expectation(phi, COHERENT_ALGEBRA).real
+        got = state.matrix_element(phi, phi, COHERENT_ALGEBRA).real
         want = formulas.group_fidelity(i, alpha, t, ANGLES)
         assert math.isclose(got, want, abs_tol=1e-12)
 

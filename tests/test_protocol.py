@@ -85,15 +85,13 @@ class TestLossless:
 
     @pytest.mark.parametrize("hybrid", HYBRIDS)
     def test_total_success_probability(self, hybrid):
-        report = teleport_once(hybrid, 1.0, LossParameter(0.0), ANGLES,
-                               include_states=False)
+        report = teleport_once(hybrid, 1.0, LossParameter(0.0), ANGLES)
         want = 1.0 - 0.5 * math.exp(-2.0)
         assert math.isclose(report.success_probability, want, abs_tol=1e-12)
 
     @pytest.mark.parametrize("hybrid", HYBRIDS)
     def test_probabilities_sum_to_one(self, hybrid):
-        report = teleport_once(hybrid, 1.0, LossParameter(0.0), ANGLES,
-                               include_states=False)
+        report = teleport_once(hybrid, 1.0, LossParameter(0.0), ANGLES)
         total = sum(e.probability for e in report.entries)
         assert math.isclose(total, 1.0, abs_tol=1e-10)
 
@@ -102,7 +100,7 @@ class TestLossless:
         # the three distinct nonzero success weights and the double-vacuum
         report = teleport_once(
             HybridType.TYPE_II, 1.0, LossParameter(0.0),
-            BlochAngles(math.pi / 3, math.pi / 5), include_states=False,
+            BlochAngles(math.pi / 3, math.pi / 5),
         )
         assert report.entry("1", "1").probability == pytest.approx(
             0.0934556340519386, abs=1e-12)
@@ -118,8 +116,7 @@ class TestLossyInvariants:
     @pytest.mark.parametrize("hybrid", HYBRIDS)
     @pytest.mark.parametrize("r", [0.3, 0.7])
     def test_probabilities_sum_to_one(self, hybrid, r):
-        report = teleport_once(hybrid, 1.0, LossParameter(r), ANGLES,
-                               include_states=False)
+        report = teleport_once(hybrid, 1.0, LossParameter(r), ANGLES)
         total = sum(e.probability for e in report.entries)
         assert math.isclose(total, 1.0, abs_tol=1e-10)
 
@@ -127,8 +124,7 @@ class TestLossyInvariants:
         # patterns inconsistent with photon-number conservation of the
         # type-I dual-rail circuit never fire, with or without loss
         excluded = [("1", "3"), ("1", "4"), ("2", "1"), ("2", "2")]
-        report = teleport_once(HybridType.TYPE_I, 1.0, LossParameter(0.3), ANGLES,
-                               include_states=False)
+        report = teleport_once(HybridType.TYPE_I, 1.0, LossParameter(0.3), ANGLES)
         for s, a in excluded:
             assert report.entry(s, a).probability < 1e-12
         for s in ("1", "2", "e", "other"):
@@ -146,19 +142,16 @@ class TestLossyInvariants:
             assert trace_distance(e.state, e.state.adjoint(), COHERENT_ALGEBRA) < 1e-9
 
     def test_report_entry_lookup(self):
-        report = teleport_once(HybridType.TYPE_II, 1.0, LossParameter(0.2), ANGLES,
-                               include_states=False)
+        report = teleport_once(HybridType.TYPE_II, 1.0, LossParameter(0.2), ANGLES)
         assert report.entry("1", "2").correction == "I"
         with pytest.raises(KeyError):
             report.entry("1", "5")
 
     def test_relabel_flags(self):
-        report = teleport_once(HybridType.TYPE_II, 1.0, LossParameter(0.2), ANGLES,
-                               include_states=False)
+        report = teleport_once(HybridType.TYPE_II, 1.0, LossParameter(0.2), ANGLES)
         assert report.entry("1", "1").relabel  # Z correction
         assert not report.entry("1", "2").relabel  # identity
-        report1 = teleport_once(HybridType.TYPE_I, 1.0, LossParameter(0.2), ANGLES,
-                                include_states=False)
+        report1 = teleport_once(HybridType.TYPE_I, 1.0, LossParameter(0.2), ANGLES)
         assert not report1.entry("1", "1").relabel  # type-I Z is physical
 
 
@@ -207,8 +200,7 @@ class TestAverages:
         quad = SphereQuadrature(8, 16)
         avg = average_success(HybridType.TYPE_II, 1.0, loss, quad)
         per_angle = [
-            teleport_once(HybridType.TYPE_II, 1.0, loss, BlochAngles(u, v),
-                          include_states=False).success_probability
+            teleport_once(HybridType.TYPE_II, 1.0, loss, BlochAngles(u, v)).success_probability
             for u, v, _ in SphereQuadrature(3, 4).nodes()
         ]
         assert min(per_angle) - 1e-12 <= avg <= max(per_angle) + 1e-12
@@ -243,10 +235,8 @@ class TestGroupStatistics:
 class TestBackends:
     def test_fock_backend_matches_coherent(self):
         loss = LossParameter(0.3)
-        rc = teleport_once(HybridType.TYPE_II, 1.0, loss, ANGLES,
-                           backend=COHERENT_ALGEBRA, include_states=False)
-        rf = teleport_once(HybridType.TYPE_II, 1.0, loss, ANGLES,
-                           backend=TRUNCATED_FOCK, include_states=False)
+        rc = teleport_once(HybridType.TYPE_II, 1.0, loss, ANGLES, backend=COHERENT_ALGEBRA)
+        rf = teleport_once(HybridType.TYPE_II, 1.0, loss, ANGLES, backend=TRUNCATED_FOCK)
         assert math.isclose(rc.success_probability, rf.success_probability,
                             abs_tol=1e-8)
         assert math.isclose(rc.conditional_fidelity, rf.conditional_fidelity,
@@ -293,10 +283,14 @@ class TestBatchedContraction:
         assert calls == [2, 2, 2]
 
 
-def poisoned_tensors(hybrid, alpha, r):
-    """The point's outcome tensors with every probability set to NaN."""
+def poisoned_tensors(hybrid, alpha, r, field="prob"):
+    """The point's outcome tensors with every probability (or fid) array set to NaN."""
     real = outcome_tensors(hybrid, alpha, r, COHERENT_ALGEBRA)
-    return tuple(replace(data, prob=np.full((2, 2), np.nan)) for data in real)
+    return tuple(
+        data if getattr(data, field) is None
+        else replace(data, **{field: np.full(getattr(data, field).shape, np.nan)})
+        for data in real
+    )
 
 
 class TestNonFiniteGuard:
@@ -310,6 +304,18 @@ class TestNonFiniteGuard:
             f"{average.__name__} at type=II alpha=1.5 r=0.3: non-finite value nan"
         )
         assert info.value.stage == average.__name__
+
+    @pytest.mark.parametrize(
+        "field, stage", [("prob", "success probability"), ("fid", "conditional fidelity")]
+    )
+    def test_teleport_once_names_stage_and_point(self, field, stage, monkeypatch):
+        poisoned = poisoned_tensors(HybridType.TYPE_II, 1.5, 0.3, field)
+        monkeypatch.setattr(protocol, "outcome_tensors", lambda *args: poisoned)
+        with pytest.raises(NonFiniteError) as info:
+            teleport_once(HybridType.TYPE_II, 1.5, LossParameter(0.3), ANGLES)
+        assert str(info.value) == (
+            f"teleport_once {stage} at type=II alpha=1.5 r=0.3: non-finite value nan"
+        )
 
 
 class TestTypeIOutcomeIndependence:
