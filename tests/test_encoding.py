@@ -316,7 +316,7 @@ class TestPartialInner:
             (0.4 - 0.2j, (FockVector((0.6, -0.8)), Coherent(-0.8))),
             (0.5, (fock(0), Coherent(0.1))),
         ])
-        got = _partial_inner(bra, psi, backend)
+        (got,) = _partial_inner([bra], psi, backend)
         assert got.layout.names == ("p", "B")
         assert len(got.terms) <= len(psi.terms)
         dims = [cut + 1 for cut in self.LAYOUT.cutoffs]

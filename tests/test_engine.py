@@ -10,13 +10,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from hybrid_teleport.engine import (
     BS_THETA,
     COHERENT_ALGEBRA,
+    COHERENT_TAIL_TOL,
     TRUNCATED_FOCK,
     Coherent,
     Contraction,
@@ -95,11 +96,20 @@ class TestLocalKets:
         vec = ket_vector(Coherent(40.0), default_cutoff(40.0) + 150)
         assert abs(np.vdot(vec, vec).real - 1.0) < 1e-10
 
-    def test_default_cutoff_tail(self):
-        for g in (0.5, 1.0, 2.0, 2.83):
-            cut = default_cutoff(g)
-            vec = ket_vector(Coherent(g), cut)
-            assert 1.0 - np.vdot(vec, vec).real < 1e-10
+    @given(st.floats(0.0, 150.0))
+    @example(0.5)
+    @example(2.83)
+    @example(12.0)
+    @example(14.15)
+    @example(20.0)
+    @example(42.43)
+    @example(80.0)
+    @example(150.0)
+    @settings(max_examples=30, deadline=None)
+    def test_default_cutoff_tail(self, g):
+        # ket_vector raises CutoffInsufficientError above COHERENT_TAIL_TOL
+        vec = ket_vector(Coherent(g), default_cutoff(g))
+        assert 1.0 - np.vdot(vec, vec).real < COHERENT_TAIL_TOL
 
     def test_normalize_ket_unit_norm_and_phase(self):
         s, k = normalize_ket(FockVector((0.0, -2.0j, 1.0j)))

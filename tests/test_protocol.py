@@ -244,6 +244,18 @@ class TestBackends:
         for ec, ef in zip(rc.entries, rf.entries):
             assert abs(ec.probability - ef.probability) < 1e-8
 
+    @given(st.sampled_from(HYBRIDS), st.floats(0.1, 30.0), st.floats(0.0, 0.98))
+    @example(HybridType.TYPE_I, 10.0, 0.0)
+    @example(HybridType.TYPE_II, 30.0, 0.0)
+    @settings(max_examples=12, deadline=None)
+    def test_backends_agree_over_cli_range(self, hybrid, alpha, r):
+        # r = 0 puts the largest amplitude, sqrt(2) alpha, on the input mode
+        loss = LossParameter(r)
+        for average in (average_fidelity, average_success):
+            coherent = average(hybrid, alpha, loss, backend=COHERENT_ALGEBRA)
+            fock = average(hybrid, alpha, loss, backend=TRUNCATED_FOCK)
+            assert abs(fock - coherent) < 1e-9
+
 
 class TestLogicalRead:
     @pytest.mark.parametrize("backend", (COHERENT_ALGEBRA, TRUNCATED_FOCK), ids=lambda b: b.kind)
