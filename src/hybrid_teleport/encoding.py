@@ -24,7 +24,6 @@ from .engine import (
     Backend,
     Coherent,
     Contraction,
-    FactorTables,
     FockVector,
     KetSum,
     ModeLayout,
@@ -240,18 +239,22 @@ def apply_correction(
     coh = lay.index(coherent_mode(slot))
     phot = [lay.index(n) for n in photonic_modes(hybrid, slot)]
     flip = phot[-1]  # the V rail (type-I) or the photonic mode (type-II)
+    done = {}  # terms share their products: each distinct one is corrected once
 
     def corrected(kets: tuple) -> tuple:
-        kets = list(kets)
-        if "Z" in pauli:
-            if hybrid is HybridType.TYPE_I:
-                kets[phot[0]], kets[phot[1]] = kets[phot[1]], kets[phot[0]]
-            else:
-                kets[flip] = _swap01(kets[flip])
-        if "X" in pauli:
-            kets[coh] = _parity_flip(kets[coh])
-            kets[flip] = _parity_flip(kets[flip])
-        return tuple(kets)
+        out = done.get(kets)
+        if out is None:
+            out = list(kets)
+            if "Z" in pauli:
+                if hybrid is HybridType.TYPE_I:
+                    out[phot[0]], out[phot[1]] = out[phot[1]], out[phot[0]]
+                else:
+                    out[flip] = _swap01(out[flip])
+            if "X" in pauli:
+                out[coh] = _parity_flip(out[coh])
+                out[flip] = _parity_flip(out[flip])
+            out = done[kets] = tuple(out)
+        return out
 
     return TermSum(lay, [(c, corrected(l), corrected(r)) for c, l, r in state.terms])
 
@@ -350,16 +353,12 @@ def bell_decomposition_check(
 def _partial_inner(bras: list, psi: KetSum, backend: Backend) -> list:
     """Per bra, <bra| psi> contracted over the bra's modes, a ket on the rest: one term
     per psi term.  The bras share their modes, so psi's tables on them are built once."""
-    lay, names = psi.layout, bras[0].layout.names
-    keep = tuple(n for n in lay.names if n not in names)
-    # each psi term's factors on the bras' modes, and on the rest
-    met, rest = (
-        [tuple(kets[i] for i in idx) for _, kets in psi.terms]
-        for idx in ([lay.index(n) for n in modes] for modes in (names, keep))
-    )
-    met = FactorTables(KetSum(lay.subset(names), [(c, k) for (c, _), k in zip(psi.terms, met)]))
+    names = bras[0].layout.names
+    # psi's terms on the bras' modes, and on the rest
+    met = psi.restricted(names)
+    rest = psi.restricted(n for n in psi.layout.names if n not in names)
     out = []
-    for bra in map(FactorTables, bras):
+    for bra in bras:
         coeffs = met.coeffs * (term_overlaps(met, bra, backend) @ bra.coeffs.conj())
-        out.append(KetSum(lay.subset(keep), zip(coeffs, rest)))
+        out.append(KetSum.from_arrays(rest.layout, coeffs, rest.ids, rest.factors))
     return out

@@ -13,9 +13,11 @@ coherent-state algebra, or truncated Fock sums at the layout cutoffs.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache, reduce
+from itertools import accumulate
 from typing import Iterable, Union
 
 import numpy as np
@@ -92,6 +94,14 @@ class Coherent:
     def __post_init__(self):
         object.__setattr__(self, "amplitude", complex(self.amplitude))
 
+    # factors are hashed per term wherever sums are interned: hash once
+    @cached_property
+    def _hash(self) -> int:
+        return hash(self.amplitude)
+
+    def __hash__(self):
+        return self._hash
+
 
 @dataclass(frozen=True)
 class FockVector:
@@ -101,6 +111,13 @@ class FockVector:
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", tuple(complex(c) for c in self.coeffs))
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash(self.coeffs)
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def degree(self) -> int:
@@ -114,6 +131,7 @@ class FockVector:
 LocalKet = Union[Coherent, FockVector]
 
 
+@lru_cache(maxsize=256)
 def fock(n: int) -> FockVector:
     return FockVector((0.0,) * n + (1.0,))
 
@@ -153,6 +171,13 @@ def normalize_ket(k: LocalKet) -> tuple:
     return complex(scale), FockVector(tuple(c / scale for c in k.coeffs))
 
 
+@lru_cache(maxsize=4096)
+def _normal_form(k: LocalKet) -> tuple:
+    """(scale, unit ket, ket_key of it): normalize_ket and ket_key, once per distinct factor."""
+    s, nk = normalize_ket(k)
+    return s, nk, ket_key(nk)
+
+
 # ---------------------------------------------------------------------------
 # backends
 
@@ -182,20 +207,28 @@ def _coherent_coeffs(amplitude: complex, cutoff: int) -> tuple:
 
     Magnitudes are exp(-|a|^2/2 + n log|a| - lgamma(n+1)/2), evaluated in
     log space: the direct recursion from exp(-|a|^2/2) underflows to zero
-    for |a| above about 38.6.
+    for |a| above about 38.6.  The tail is the sum of the omitted weights
+    |c_n|^2, n > cutoff, in the same log space (1 - sum |c_n|^2 would be
+    rounding error once the tail is small).  It runs past the Poisson mean
+    |a|^2 by 12 (|a| + 1) + 60, beyond which the weights are below e^-70.
     """
     out = np.zeros(cutoff + 1, dtype=complex)
     mag = abs(amplitude)
     if mag == 0.0:
         out[0] = 1.0
-    else:
-        n = np.arange(cutoff + 1)
-        lgam = np.array([math.lgamma(k + 1.0) for k in range(cutoff + 1)])
-        # powers of the unit phase by repeated product, exact for real amplitudes
-        phase = np.ones(cutoff + 1, dtype=complex)
-        phase[1:] = np.cumprod(np.full(cutoff, amplitude / mag))
-        out[:] = np.exp(-0.5 * mag * mag + n * math.log(mag) - 0.5 * lgam) * phase
-    tail = 1.0 - float(np.sum(np.abs(out) ** 2))
+        return tuple(out), 0.0
+    n = np.arange(cutoff + 1)
+    lgam = np.array([math.lgamma(k + 1.0) for k in range(cutoff + 1)])
+    # powers of the unit phase by repeated product, exact for real amplitudes
+    phase = np.ones(cutoff + 1, dtype=complex)
+    phase[1:] = np.cumprod(np.full(cutoff, amplitude / mag))
+    out[:] = np.exp(-0.5 * mag * mag + n * math.log(mag) - 0.5 * lgam) * phase
+    top = max(cutoff, math.ceil(mag * mag)) + math.ceil(12.0 * (mag + 1.0)) + 60
+    omitted = np.arange(cutoff + 1, top + 1)
+    log_w = (-mag * mag + 2.0 * omitted * math.log(mag)
+             - np.array([math.lgamma(k + 1.0) for k in omitted.tolist()]))
+    peak = float(log_w.max())
+    tail = math.exp(peak) * float(np.sum(np.exp(log_w - peak)))
     return tuple(out), tail
 
 
@@ -342,143 +375,280 @@ def _bs_sector_matrix(k: int, theta: float = BS_THETA) -> np.ndarray:
     return (vec * np.exp(-1j * lam)) @ vec.conj().T
 
 
+@lru_cache(maxsize=64)
+def _bs_sectors(ci: int, cj: int, top: int, theta: float) -> tuple:
+    """The rotations of sectors 0..top of two modes with cutoffs (ci, cj), stacked.
+
+    Returns (rot, n, m, inside, clipped): rot[k] is the sector-k matrix
+    zero-padded to top + 1 slots, slot (k, p) holds |p>_i |k-p>_j,
+    inside marks the slots within both cutoffs, (n, m) are their photon
+    numbers in the same order, and clipped marks the other real slots.
+    """
+    size = top + 1
+    rot = np.zeros((size, size, size), dtype=complex)
+    for k in range(size):
+        rot[k, : k + 1, : k + 1] = _bs_sector_matrix(k, theta)
+    k, p = np.indices((size, size))
+    inside = (p <= k) & (p <= ci) & (k - p <= cj)
+    out = rot, p[inside], (k - p)[inside], inside, (p <= k) & ~inside
+    for arr in out:
+        arr.setflags(write=False)  # shared by every caller of the cache
+    return out
+
+
+@lru_cache(maxsize=1024)
 def _bs_pair(
     ki: LocalKet, kj: LocalKet, ci: int, cj: int, theta: float = BS_THETA
-) -> list:
-    """Transform a two-mode product ket; returns [(scalar, ket_i, ket_j)].
+) -> tuple:
+    """Transform a two-mode product ket; returns ((scalar, ket_i, ket_j), ...).
 
     Coherent pairs stay a single product via the closed-form rule
     |g>|d> -> |cos(theta) g + sin(theta) d>|cos(theta) d - sin(theta) g>;
-    Fock content is rotated exactly within each total-photon-number sector.
+    Fock content is rotated exactly within each total-photon-number sector,
+    all sectors in one batched product.  Cached: across a sweep the 50:50
+    splitters meet the same photonic pairs at every point.
     """
     if isinstance(ki, Coherent) and isinstance(kj, Coherent):
         g, d = ki.amplitude, kj.amplitude
         c, s = math.cos(theta), math.sin(theta)
-        return [(1.0 + 0.0j, Coherent(c * g + s * d), Coherent(c * d - s * g))]
-    vi = ket_vector(ki, ci)
-    vj = ket_vector(kj, cj)
-    block = np.outer(vi, vj)
-    out = np.zeros_like(block)
-    lost = 0.0
-    for k in range(len(vi) + len(vj) - 1):
-        n_lo = max(0, k - cj)
-        n_hi = min(ci, k)
-        if n_lo > n_hi:
-            continue
-        rot = _bs_sector_matrix(k, theta)
-        full = np.zeros(k + 1, dtype=complex)
-        for n in range(n_lo, n_hi + 1):
-            full[n] = block[n, k - n]
-        if not np.any(np.abs(full) > 0):
-            continue
-        res = rot @ full
-        for n in range(k + 1):
-            if n <= ci and k - n <= cj:
-                out[n, k - n] += res[n]
-            else:
-                lost += abs(res[n]) ** 2
+        return ((1.0 + 0.0j, Coherent(c * g + s * d), Coherent(c * d - s * g)),)
+    # sectors above the factors' summed degrees are empty
+    top = sum(c if isinstance(k, Coherent) else max(k.degree, 0) for k, c in ((ki, ci), (kj, cj)))
+    rot, n, m, inside, clipped = _bs_sectors(ci, cj, min(top, ci + cj), theta)
+    sectors = np.zeros(inside.shape, dtype=complex)
+    sectors[inside] = np.outer(ket_vector(ki, ci), ket_vector(kj, cj))[n, m]
+    res = np.matmul(rot, sectors[:, :, None])[:, :, 0]
+    lost = float(np.sum(np.abs(res[clipped]) ** 2))
     if lost > COHERENT_TAIL_TOL:
         raise CutoffInsufficientError(
             f"beam splitter output exceeds cutoffs ({ci}, {cj}); "
             f"clipped weight {lost:.2e}"
         )
-    pieces = []
-    for n in range(out.shape[0]):
-        row = out[n]
-        if np.any(np.abs(row) > DROP_TOL):
-            pieces.append((1.0 + 0.0j, fock(n), FockVector(tuple(row))))
-    return pieces
+    out = np.zeros((ci + 1, cj + 1), dtype=complex)
+    out[n, m] = res[inside]
+    rows = np.flatnonzero(np.any(np.abs(out) > DROP_TOL, axis=1))
+    return tuple((1.0 + 0.0j, fock(r), FockVector(out[r].tolist())) for r in rows.tolist())
 
 
 # ---------------------------------------------------------------------------
 # sums of product terms
 
-def _canonical_terms(terms: list) -> list:
-    """Canonical form of (c, *factor_groups) terms: the one place it is built.
+def _row_codes(mat: np.ndarray, sizes: list) -> tuple:
+    """(codes, bound): one int64 below bound per row of mat, whose column m holds ids below sizes[m].
 
-    Every factor is normalized (normalize_ket) with its scale moved into c;
-    the second group of an operator term holds bra factors, so its scales
-    enter conjugated.  Terms whose factors agree to MERGE_DECIMALS (ket_key)
-    are merged, sorted by that key, and dropped below DROP_TOL.  Each
-    distinct factor (exact equality) is normalized and keyed once.
+    Equal rows, and only they, share a code, and codes order as the rows
+    do lexicographically: mixed-radix numbers while they fit in 62 bits,
+    otherwise the rows' ranks.
     """
-    factors = {}
-    acc = {}
-    groups_by_key = {}
-    for c, *groups in terms:
-        normed = []
-        keys = []
-        for pos, group in enumerate(groups):
-            out = []
-            group_keys = []
-            for k in group:
-                done = factors.get(k)
-                if done is None:
-                    s, nk = normalize_ket(k)
-                    done = factors[k] = (s, nk, ket_key(nk))
-                s, nk, kk = done
-                c *= s.conjugate() if pos else s
-                out.append(nk)
-                group_keys.append(kk)
-            normed.append(tuple(out))
-            keys.append(tuple(group_keys))
-        key = tuple(keys)
-        acc[key] = acc.get(key, 0.0) + c
-        groups_by_key[key] = normed
-    return [
-        (c, *groups_by_key[key])
-        for key, c in sorted(acc.items(), key=lambda kv: kv[0])
-        if abs(c) > DROP_TOL
-    ]
+    bound, *radix = list(accumulate(reversed(sizes), operator.mul, initial=1))[::-1]
+    if bound < 1 << 62:
+        return mat @ np.array(radix, dtype=np.int64), bound
+    return np.unique(mat, axis=0, return_inverse=True)[1].reshape(-1), len(mat)
+
+
+def _groups(codes: np.ndarray, bound: int) -> tuple:
+    """(each entry's group, groups numbered in code order; the number of groups).
+
+    codes lie below bound.  A table over [0, bound) groups them when it is
+    not much longer than codes (np.unique costs several times more on the
+    short arrays a state has); np.unique groups codes spread wider.
+    """
+    if bound > 4 * len(codes) + 1024:
+        distinct, group = np.unique(codes, return_inverse=True)
+        return group.reshape(-1), len(distinct)
+    present = np.zeros(bound, dtype=bool)
+    present[codes] = True
+    rank = np.cumsum(present)
+    return rank[codes] - 1, int(rank[-1]) if bound else 0
+
+
+def _first_seen(codes: np.ndarray, bound: int) -> tuple:
+    """(where each distinct code first occurs, in first-seen order; each entry's rank in that order).
+
+    codes lie below bound; ones spread much wider than their count are
+    grouped first, so that a table over the codes stays short.
+    """
+    n = len(codes)
+    if bound > 4 * n + 1024:
+        codes, bound = _groups(codes, bound)
+    at = np.arange(n)
+    first_at = np.full(bound, n)
+    np.minimum.at(first_at, codes, at)
+    first = np.flatnonzero(first_at[codes] == at)
+    rank = np.empty(bound, dtype=np.int64)
+    rank[codes[first]] = np.arange(len(first))
+    return first, rank[codes]
+
+
+def _intern(rows, width: int) -> tuple:
+    """(ids, factors) of rows of factors: factors[m] holds the distinct factors
+    (exact equality) of column m in first-seen order, and ids[t, m] indexes it."""
+    index = [{} for _ in range(width)]
+    ids = [[idx.setdefault(k, len(idx)) for idx, k in zip(index, row)] for row in rows]
+    return np.array(ids, dtype=np.int64).reshape(len(ids), width), tuple(map(tuple, index))
+
+
+def _factor_rows(ids: np.ndarray, factors: tuple) -> list:
+    """Each row of ids as the tuple of the factors it names."""
+    if not factors:
+        return [()] * len(ids)
+    return list(zip(*([table[i] for i in col] for table, col in zip(factors, ids.T.tolist()))))
+
+
+def _merged(tables: tuple, others: tuple, ids: np.ndarray) -> tuple:
+    """(tables extended by the new factors of others, ids into others re-pointed into them)."""
+    merged, remap = [], []
+    for mine, theirs in zip(tables, others):
+        index = {k: n for n, k in enumerate(mine)}
+        remap += [index.setdefault(k, len(index)) for k in theirs]
+        merged.append(tuple(index))
+    offsets = np.array(list(accumulate(map(len, others[:-1]), initial=0)), dtype=np.int64)
+    return tuple(merged), np.array(remap, dtype=np.int64)[ids + offsets]
+
+
+def _canonical(coeffs: np.ndarray, ids: np.ndarray, factors: tuple, bra_columns: int = 0) -> tuple:
+    """Canonical form of a sum of product terms: the one place it is built.
+
+    Term t is coeffs[t] times the factors factors[m][ids[t, m]]; the last
+    bra_columns columns hold bra factors, whose scales enter conjugated.
+    Each distinct factor is normalized (normalize_ket) and keyed (ket_key)
+    once, with its scale moved into the coefficients.  Terms whose factors
+    agree to MERGE_DECIMALS are merged onto the factors of the last of
+    them, sorted by key, and dropped at or below DROP_TOL.  Returns
+    (coeffs, ids, factors) of the result; its tables hold only the
+    factors it uses.
+    """
+    width = len(factors)
+    done = [[_normal_form(k) for k in table] for table in factors]
+    scales, ranks, sizes, scaled = [], [], [], []
+    for m, column in enumerate(done):
+        rank = {key: n for n, key in enumerate(sorted({key for _, _, key in column}))}
+        ranks += [rank[key] for _, _, key in column]
+        sizes.append(len(rank))
+        column = [s.conjugate() if m >= width - bra_columns else s for s, _, _ in column]
+        scales += column
+        if any(s != 1.0 for s in column):
+            scaled.append(m)
+    offsets = list(accumulate(map(len, factors), initial=0))
+    glob = ids + np.array(offsets[:-1], dtype=np.int64)
+    # a factor already in canonical form has scale exactly 1: its column leaves coeffs as they are
+    if scaled:
+        scale = np.array(scales, dtype=complex)
+        for m in scaled:
+            coeffs = coeffs * scale[glob[:, m]]
+    group, count = _groups(*_row_codes(np.array(ranks, dtype=np.int64)[glob], sizes))
+    acc = np.zeros(count, dtype=complex)
+    np.add.at(acc, group, coeffs)
+    last = np.zeros(count, dtype=np.int64)
+    np.maximum.at(last, group, np.arange(len(group)))
+    live = np.abs(acc) > DROP_TOL
+    kept = glob[last[live]]
+    # the normalized factors the kept terms use, interned per mode by exact equality
+    used = np.zeros(offsets[-1], dtype=bool)
+    used[kept] = True
+    flags, renumber, tables = used.tolist(), [], []
+    for column, start in zip(done, offsets):
+        index = {}
+        renumber += [index.setdefault(nk, len(index)) if u else -1
+                     for (_, nk, _), u in zip(column, flags[start:])]
+        tables.append(tuple(index))
+    return acc[live], np.array(renumber, dtype=np.int64)[kept], tuple(tables)
 
 
 class KetSum:
-    """Pure state: sum of weighted product kets over the layout's modes."""
+    """Pure state: sum of weighted product kets over the layout's modes.
 
-    __slots__ = ("layout", "terms")
+    Held as arrays: term t is coeffs[t] times the product over modes m of
+    factors[m][ids[t, m]], where factors[m] holds mode m's distinct factors
+    (exact equality).  Operations act on these arrays, and per-factor work
+    runs once per distinct factor; terms lists the same state as (c, kets)
+    pairs.
+    """
+
+    __slots__ = ("layout", "coeffs", "ids", "factors", "_terms", "_tuples")
 
     def __init__(self, layout: ModeLayout, terms: Iterable):
-        self.layout = layout
-        self.terms = [(complex(c), tuple(kets)) for c, kets in terms if c != 0]
+        terms = [(c, kets) for c, kets in terms if c != 0]
+        ids, factors = _intern((kets for _, kets in terms), len(layout.names))
+        self._set(layout, np.array([c for c, _ in terms], dtype=complex), ids, factors)
+
+    def _set(self, layout, coeffs, ids, factors):
+        self.layout, self.coeffs, self.ids, self.factors = layout, coeffs, ids, tuple(factors)
+        self._terms, self._tuples = None, {}
+
+    @classmethod
+    def from_arrays(cls, layout: ModeLayout, coeffs: np.ndarray, ids: np.ndarray,
+                    factors) -> "KetSum":
+        """sum_t coeffs[t] prod_m factors[m][ids[t, m]]; zero terms are dropped.
+
+        factors[m] must hold distinct factors (exact equality).
+        """
+        if np.count_nonzero(coeffs) < len(coeffs):
+            live = coeffs != 0
+            coeffs, ids = coeffs[live], ids[live]
+        out = cls.__new__(cls)
+        out._set(layout, coeffs, ids, factors)
+        return out
+
+    @property
+    def terms(self) -> list:
+        """The terms as (c, kets) pairs, derived once from the arrays; read-only."""
+        if self._terms is None:
+            self._terms = list(zip(self.coeffs.tolist(), _factor_rows(self.ids, self.factors)))
+        return self._terms
+
+    def tuples(self, modes) -> tuple:
+        """(distinct rows of factor ids on modes, first-seen; each term's row); cached."""
+        modes = tuple(modes)
+        got = self._tuples.get(modes)
+        if got is None:
+            idx = [self.layout.index(m) for m in modes]
+            mat = self.ids[:, idx]
+            first, row = _first_seen(*_row_codes(mat, [len(self.factors[i]) for i in idx]))
+            got = self._tuples[modes] = mat[first], row
+        return got
+
+    def restricted(self, names) -> "KetSum":
+        """The same terms and coefficients on the named modes alone."""
+        names = tuple(names)
+        idx = [self.layout.index(n) for n in names]
+        return KetSum.from_arrays(self.layout.subset(names), self.coeffs, self.ids[:, idx],
+                                  [self.factors[i] for i in idx])
 
     def scaled(self, z: complex) -> "KetSum":
-        return KetSum(self.layout, [(c * z, k) for c, k in self.terms])
+        return KetSum.from_arrays(self.layout, self.coeffs * z, self.ids, self.factors)
 
     def __add__(self, other: "KetSum") -> "KetSum":
         if other.layout.names != self.layout.names:
             raise ValueError("layout mismatch")
-        return KetSum(self.layout, self.terms + other.terms)
+        factors, ids = _merged(self.factors, other.factors, other.ids)
+        return KetSum.from_arrays(self.layout, np.concatenate([self.coeffs, other.coeffs]),
+                                  np.concatenate([self.ids, ids]), factors)
 
     def tensor(self, other: "KetSum") -> "KetSum":
-        lay = self.layout.merge(other.layout)
-        terms = [
-            (c1 * c2, k1 + k2)
-            for c1, k1 in self.terms
-            for c2, k2 in other.terms
-        ]
-        return KetSum(lay, terms)
+        (n, w), (m, v) = self.ids.shape, other.ids.shape
+        ids = np.empty((n, m, w + v), dtype=np.int64)
+        ids[:, :, :w] = self.ids[:, None]
+        ids[:, :, w:] = other.ids
+        return KetSum.from_arrays(self.layout.merge(other.layout),
+                                  (self.coeffs[:, None] * other.coeffs).reshape(-1),
+                                  ids.reshape(n * m, w + v), self.factors + other.factors)
 
     def canonicalized(self) -> "KetSum":
-        return KetSum(self.layout, _canonical_terms(self.terms))
+        return KetSum.from_arrays(self.layout, *_canonical(self.coeffs, self.ids, self.factors))
 
     def braket(self, other: "KetSum", backend: Backend) -> complex:
         """<self|other>."""
         if other.layout.names != self.layout.names:
             raise ValueError("layout mismatch")
-        ket, bra = FactorTables(other), FactorTables(self)
-        return complex(ket.coeffs @ term_overlaps(ket, bra, backend) @ bra.coeffs.conj())
+        return complex(other.coeffs @ term_overlaps(other, self, backend) @ self.coeffs.conj())
 
     def norm2(self, backend: Backend) -> float:
         return float(self.braket(self, backend).real)
 
     def dm(self) -> "TermSum":
         """Outer product |self><self|."""
-        terms = [
-            (cl * cr.conjugate(), kl, kr)
-            for cl, kl in self.terms
-            for cr, kr in self.terms
-        ]
-        return TermSum(self.layout, terms)
+        return self.outer(self)
 
     def outer(self, other: "KetSum") -> "TermSum":
         """|self><other|."""
@@ -490,7 +660,6 @@ class KetSum:
             for cr, kr in other.terms
         ]
         return TermSum(self.layout, terms)
-
 
 
 class TermSum:
@@ -528,14 +697,32 @@ class TermSum:
             self.layout, [(c.conjugate(), r, l) for c, l, r in self.terms]
         )
 
+    def _columns(self) -> tuple:
+        """(coeffs, ids, factors) with the left factors as the first columns, the right ones after."""
+        ids, factors = _intern((l + r for _, l, r in self.terms), 2 * len(self.layout.names))
+        return np.array([c for c, _, _ in self.terms], dtype=complex), ids, factors
+
+    def _canonical_columns(self) -> tuple:
+        """(coeffs, ids, factors) of the canonical form: KetSum's, with the
+        right factors as bra columns."""
+        return _canonical(*self._columns(), bra_columns=len(self.layout.names))
+
     def canonicalized(self) -> "TermSum":
-        return TermSum(self.layout, _canonical_terms(self.terms))
+        width = len(self.layout.names)
+        coeffs, ids, factors = self._canonical_columns()
+        return TermSum(self.layout, [
+            (c, row[:width], row[width:])
+            for c, row in zip(coeffs.tolist(), _factor_rows(ids, factors))
+        ])
 
     def _sides(self) -> tuple:
-        """FactorTables of the left products (with the coefficients) and of the right ones."""
+        """KetSums of the left products (with the coefficients) and of the right ones."""
+        width = len(self.layout.names)
+        coeffs, ids, factors = self._columns()
         return (
-            FactorTables(KetSum(self.layout, [(c, l) for c, l, _ in self.terms])),
-            FactorTables(KetSum(self.layout, [(1.0, r) for _, _, r in self.terms])),
+            KetSum.from_arrays(self.layout, coeffs, ids[:, :width], factors[:width]),
+            KetSum.from_arrays(self.layout, np.ones(len(coeffs), dtype=complex),
+                               ids[:, width:], factors[width:]),
         )
 
     def trace(self, backend: Backend) -> complex:
@@ -547,7 +734,6 @@ class TermSum:
     def matrix_element(self, bra: KetSum, ket: KetSum, backend: Backend) -> complex:
         """<bra| self |ket>, as sum_t c_t <bra|L_t> <R_t|ket>."""
         lefts, rights = self._sides()
-        bra, ket = FactorTables(bra), FactorTables(ket)
         left = term_overlaps(lefts, bra, backend) @ bra.coeffs.conj()
         right = ket.coeffs @ term_overlaps(ket, rights, backend)
         return complex(np.sum(lefts.coeffs * left * right))
@@ -565,23 +751,41 @@ def apply_beam_splitter(
     |g>_i |d>_j -> |(g+d)/sqrt2>_i |(d-g)/sqrt2>_j and a lone photon in i
     exits as (|1,0> - |0,1>)/sqrt2.  With a vacuum in j, theta = asin(r)
     leaks the fraction r^2 of mode i's energy into j: photon loss.  Each
-    distinct (ket_i, ket_j) pair (exact equality) is transformed once.
+    distinct (ket_i, ket_j) pair is transformed once, and each term is
+    replaced by its pair's pieces, in order.
     """
     lay = state.layout
     i, j = lay.index(mode_i), lay.index(mode_j)
-    ci, cj = lay.cutoffs[i], lay.cutoffs[j]
-    pairs = {}
-    terms = []
-    for c, kets in state.terms:
-        pair = kets[i], kets[j]
-        pieces = pairs.get(pair)
-        if pieces is None:
-            pieces = pairs[pair] = _bs_pair(*pair, ci, cj, theta)
-        for s, ki, kj in pieces:
-            new = list(kets)
-            new[i], new[j] = ki, kj
-            terms.append((c * s, tuple(new)))
-    return KetSum(lay, terms)
+    fi, fj = state.factors[i], state.factors[j]
+    # the distinct (ket_i, ket_j) pairs, as codes into a len(fi) x len(fj) table
+    codes = state.ids[:, i] * len(fj) + state.ids[:, j]
+    pair, n_pairs = _groups(codes, len(fi) * len(fj))
+    pair_codes = np.empty(n_pairs, dtype=np.int64)
+    pair_codes[pair] = codes  # the terms of one pair all write its code
+    new_i, new_j, counts, pieces = {}, {}, [], []
+    for p in pair_codes.tolist():
+        out = _bs_pair(fi[p // len(fj)], fj[p % len(fj)], lay.cutoffs[i], lay.cutoffs[j], theta)
+        counts.append(len(out))
+        pieces += [(s, new_i.setdefault(ki, len(new_i)), new_j.setdefault(kj, len(new_j)))
+                   for s, ki, kj in out]
+    scalars = np.array([s for s, _, _ in pieces], dtype=complex)
+    piece_ids = np.array([ij for _, *ij in pieces], dtype=np.int64).reshape(-1, 2)
+    if len(pieces) == n_pairs:
+        # one piece per pair: each term keeps its row
+        rows, piece = slice(None), pair
+    else:
+        # each term becomes its pair's pieces, in order: row r of the output
+        # is piece (first piece of the pair) + (r - first row of the term)
+        counts = np.array(counts, dtype=np.int64)
+        per_term = counts[pair]
+        rows = np.repeat(np.arange(len(codes)), per_term)
+        shift = (np.cumsum(counts) - counts)[pair] - (np.cumsum(per_term) - per_term)
+        piece = np.arange(len(rows)) + shift[rows]
+    ids = state.ids[rows].copy()
+    ids[:, i], ids[:, j] = piece_ids[piece].T
+    factors = list(state.factors)
+    factors[i], factors[j] = tuple(new_i), tuple(new_j)
+    return KetSum.from_arrays(lay, state.coeffs[rows] * scalars[piece], ids, factors)
 
 
 # ---------------------------------------------------------------------------
@@ -602,49 +806,7 @@ class ModeProjector:
 NO_PROJECTOR = ModeProjector(((),))
 
 
-def _distinct(items: list) -> tuple:
-    """(distinct items in first-seen order, each item's index).
-
-    Items (factors or tuples of factors) match by exact equality, the
-    identity the overlap caches use; only canonicalized() merges factors
-    that agree to rounding.
-    """
-    index = {}
-    firsts = []
-    ids = np.empty(len(items), dtype=np.int64)
-    for num, item in enumerate(items):
-        pos = index.get(item)
-        if pos is None:
-            pos = index[item] = len(firsts)
-            firsts.append(item)
-        ids[num] = pos
-    return firsts, ids
-
-
-class FactorTables:
-    """Contraction input built once per ket: coefficients, per mode (factors, term ids)."""
-
-    def __init__(self, ket: KetSum):
-        self.layout = ket.layout
-        self.coeffs = np.array([c for c, _ in ket.terms], dtype=complex)
-        self.modes = {
-            name: _distinct([kets[i] for _, kets in ket.terms])
-            for i, name in enumerate(ket.layout.names)
-        }
-        self._tuples = {}
-
-    def tuples(self, modes) -> tuple:
-        """(distinct tuples of factor ids on modes, as array rows; each term's row); cached."""
-        modes = tuple(modes)
-        if modes not in self._tuples:
-            rows = list(zip(*(self.modes[m][1].tolist() for m in modes))) or [()] * len(self.coeffs)
-            firsts, ids = _distinct(rows)
-            firsts = np.array(firsts, dtype=np.int64).reshape(len(firsts), len(modes))
-            self._tuples[modes] = firsts, ids
-        return self._tuples[modes]
-
-
-def product_sums(ket: FactorTables, bra: FactorTables, modes: tuple, family: tuple,
+def product_sums(ket: KetSum, bra: KetSum, modes: tuple, family: tuple,
                  backend: Backend) -> tuple:
     """(ket tuple ids, bra tuple ids, S): the one product-sum overlap routine.
 
@@ -657,7 +819,6 @@ def product_sums(ket: FactorTables, bra: FactorTables, modes: tuple, family: tup
     come from overlap's cache alone, so filtered_overlap does not copy them.
     """
     (ket_rows, ket_ids), (bra_rows, bra_ids) = ket.tuples(modes), bra.tuples(modes)
-    lay = ket.layout
     grids = {}
     sums = np.zeros((len(family), len(ket_rows), len(bra_rows)), dtype=complex)
     for total, proj in zip(sums, family):
@@ -668,8 +829,9 @@ def product_sums(ket: FactorTables, bra: FactorTables, modes: tuple, family: tup
                 filt = filters.get(mode, FILTER_ALL)
                 grid = grids.get((mode, filt))
                 if grid is None:
-                    kets, bras = ket.modes[mode][0], bra.modes[mode][0]
-                    cut = lay.cutoffs[lay.index(mode)]
+                    m = ket.layout.index(mode)
+                    kets, bras = ket.factors[m], bra.factors[bra.layout.index(mode)]
+                    cut = ket.layout.cutoffs[m]
                     if filt == FILTER_ALL:
                         vals = [[overlap(b, k, backend, cut) for b in bras] for k in kets]
                     else:
@@ -681,7 +843,7 @@ def product_sums(ket: FactorTables, bra: FactorTables, modes: tuple, family: tup
     return ket_ids, bra_ids, sums
 
 
-def term_overlaps(ket: FactorTables, bra: FactorTables, backend: Backend) -> np.ndarray:
+def term_overlaps(ket: KetSum, bra: KetSum, backend: Backend) -> np.ndarray:
     """G[i, j] = <bra term j|ket term i> over the ket's modes, coefficients left out."""
     ket_ids, bra_ids, sums = product_sums(ket, bra, ket.layout.names, (NO_PROJECTOR,), backend)
     return sums[0][ket_ids[:, None], bra_ids]
@@ -713,29 +875,28 @@ class Contraction:
     orthogonal: the cross terms Tr[P_i rho P_j] then vanish, leaving the sum
     over i of Tr_traced[P_i rho].
 
-    ket and bra are KetSums or their FactorTables.  Per-mode values are
-    taken once per distinct factor pair and combined on the distinct
-    factor tuples of a mode set; no N_ket * N_bra-term operator is built.
+    Per-mode values are taken once per distinct factor pair and combined
+    on the distinct factor tuples of a mode set; no N_ket * N_bra-term
+    operator is built.
     Factors match exactly, so pass canonicalized kets: only canonicalized()
     turns proportional or near-equal factors into one.
     """
 
-    def __init__(self, ket, bra, keep: Iterable[str], backend: Backend):
+    def __init__(self, ket: KetSum, bra: KetSum, keep: Iterable[str], backend: Backend):
         if bra.layout.names != ket.layout.names:
             raise ValueError("layout mismatch")
-        self.ket, self.bra = (
-            side if isinstance(side, FactorTables) else FactorTables(side)
-            for side in (ket, bra)
-        )
+        self.ket, self.bra = ket, bra
         keep = tuple(keep)
         lay = ket.layout
         self.backend = backend
         self.traced = tuple(n for n in lay.names if n not in keep)
-        kept = [
-            [tuple(side.modes[m][0][i] for m, i in zip(keep, t)) for t in side.tuples(keep)[0]]
-            for side in (self.ket, self.bra)
-        ]
-        self.kept = KeptProducts(lay.subset(keep), *map(tuple, kept))
+        idx = [lay.index(m) for m in keep]
+
+        def products(side):
+            return tuple(_factor_rows(side.tuples(keep)[0], [side.factors[i] for i in idx]))
+
+        kets = products(ket)
+        self.kept = KeptProducts(lay.subset(keep), kets, kets if bra is ket else products(bra))
         # Tr of |kept ket a><kept bra b|, and each term's kept product
         self.ket_kept, self.bra_kept, trace = product_sums(self.ket, self.bra, keep,
                                                            (NO_PROJECTOR,), backend)
@@ -767,12 +928,16 @@ class Contraction:
                 for modes, fam in zip(named, fams)]
         swap = sums[0][2][0].size < sums[1][2][0].size
         (batch_k, batch_b, batch), (fold_k, fold_b, fold) = sums[::-1] if swap else sums
-        # keys (kept product, folded tuple), and each term's key
-        (ket_keys, ket_cells), (bra_keys, bra_cells) = (
-            _distinct(list(zip(kept.tolist(), ids.tolist())))
-            for kept, ids in ((self.ket_kept, fold_k), (self.bra_kept, fold_b))
+        # keys (kept product, folded tuple), first-seen, and each term's key
+        def keyed(kept, ids, n_kept, n_fold):
+            first, cells = _first_seen(kept * n_fold + ids, n_kept * n_fold)
+            return np.stack([kept[first], ids[first]], axis=1), cells
+
+        ket_keys, ket_cells = keyed(self.ket_kept, fold_k, len(self.kept.kets), fold.shape[1])
+        bra_keys, bra_cells = (
+            (ket_keys, ket_cells) if self.bra is self.ket
+            else keyed(self.bra_kept, fold_b, len(self.kept.bras), fold.shape[2])
         )
-        ket_keys, bra_keys = (np.array(k, dtype=np.int64).reshape(-1, 2) for k in (ket_keys, bra_keys))
         # Q summed onto (key, batched tuple) pairs: no N_ket x N_bra array per outcome
         _, tk, tb = batch.shape
         rows = np.eye(len(ket_keys) * tk)[ket_cells * tk + batch_k]
@@ -798,8 +963,8 @@ class Contraction:
         kets are KetSums on the kept modes: <kets[p]|kept.operator(W)|kets[q]>
         is then (A @ W @ B)[p, q] for every W from weights().
         """
-        reads = FactorTables(KetSum(self.kept.layout, [t for psi in kets for t in psi.terms]))
-        owner = np.repeat(np.arange(len(kets)), [len(psi.terms) for psi in kets])
+        reads = reduce(KetSum.__add__, kets)
+        owner = np.repeat(np.arange(len(kets)), [len(psi.coeffs) for psi in kets])
         # mix[p, j]: read term j's coefficient if it belongs to kets[p]
         mix = np.eye(len(kets))[owner].T * reads.coeffs
 
@@ -820,19 +985,21 @@ def gram_eigvals(state: TermSum, backend: Backend) -> np.ndarray:
     canonicalized first: product kets then match exactly, and near-equal
     ones have already been merged.
     """
-    st = state.canonicalized()
-    # ids alternate left, right per term
-    kets, ids = _distinct(
-        [prod for _, lefts, rights in st.terms for prod in (lefts, rights)]
-    )
-    n = len(kets)
-    if n == 0:
+    lay, width = state.layout, len(state.layout.names)
+    coeffs, ids, factors = state._canonical_columns()
+    if not len(coeffs):
         return np.zeros(0)
-    mat = np.zeros((n, n), dtype=complex)
-    np.add.at(mat, (ids[0::2], ids[1::2]), [c for c, _, _ in st.terms])
-    prods = FactorTables(KetSum(st.layout, [(1.0, prod) for prod in kets]))
-    # gram[i, j] = <kets[i]|kets[j]>
-    lam, vec = np.linalg.eigh(term_overlaps(prods, prods, backend).T)
+    # one table per mode for left and right factors; products alternate left, right per term
+    tables, rights = _merged(factors[:width], factors[width:], ids[:, width:])
+    prods = np.empty((2 * len(coeffs), width), dtype=np.int64)
+    prods[0::2], prods[1::2] = ids[:, :width], rights
+    prods = KetSum.from_arrays(lay, np.ones(len(prods), dtype=complex), prods, tables)
+    # over the distinct products: gram[i, j] = <kets[i]|kets[j]>, and mat[i, j] weighs |kets[i]><kets[j]|
+    ids, _, sums = product_sums(prods, prods, lay.names, (NO_PROJECTOR,), backend)
+    gram = sums[0].T
+    mat = np.zeros(gram.shape, dtype=complex)
+    np.add.at(mat, (ids[0::2], ids[1::2]), coeffs)
+    lam, vec = np.linalg.eigh(gram)
     good = lam > max(1e-12 * max(lam.max(), 1.0), 1e-14)
     w = (vec[:, good] * np.sqrt(lam[good])).conj().T
     h = w @ mat @ w.conj().T

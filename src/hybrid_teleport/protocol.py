@@ -34,7 +34,6 @@ from .engine import (
     COHERENT_ALGEBRA,
     Backend,
     Contraction,
-    FactorTables,
     TermSum,
     apply_beam_splitter,
 )
@@ -90,16 +89,15 @@ class SphereQuadrature:
     def mu_nu_grid(self) -> tuple:
         """(M, weights): M[n] = (mu, nu) per node, weights[n] the measure.
 
-        Built once per rule; the arrays are read-only.
+        mu = cos(u/2) and nu = sin(u/2) (cos v + i sin v), as BlochAngles
+        gives them.  Built once per rule; the arrays are read-only.
         """
-        nodes = self.nodes()
-        m = np.empty((len(nodes), 2), dtype=complex)
-        w = np.empty(len(nodes))
-        for i, (u, v, wt) in enumerate(nodes):
-            ang = BlochAngles(u, v)
-            m[i, 0] = ang.mu
-            m[i, 1] = ang.nu
-            w[i] = wt
+        u, v, w = np.array(self.nodes()).T
+        m = np.empty((len(w), 2), dtype=complex)
+        m[:, 0] = np.cos(u / 2.0)
+        m[:, 1].real = np.sin(u / 2.0) * np.cos(v)
+        m[:, 1].imag = np.sin(u / 2.0) * np.sin(v)
+        w = np.ascontiguousarray(w)
         m.setflags(write=False)
         w.setflags(write=False)
         return m, w
@@ -185,13 +183,13 @@ def outcome_tensors(
     )
     basis = DynamicBasis(alpha, LossParameter(r))
     bob_kets = [logical_ket(hybrid, bit, basis, "c") for bit in (0, 1)]
-    tables = [FactorTables(psi) for psi in _protocol_states(hybrid, alpha, r)]
+    states = _protocol_states(hybrid, alpha, r)
 
     prob = np.zeros((len(labels), 2, 2), dtype=complex)
     logical = np.zeros((len(labels), 2, 2, 2, 2), dtype=complex)
     kept = [{} for _ in labels]
     for x, y in ((0, 0), (0, 1), (1, 1)):
-        contraction = Contraction(tables[x], tables[y], bob_kets[0].layout.names, backend)
+        contraction = Contraction(states[x], states[y], bob_kets[0].layout.names, backend)
         left, right = contraction.kept_overlaps(bob_kets)
         probs, weights = contraction.weights(*families)
         # labels are s-major, alpha-minor: outcome pair (i, j) is label i * n_alpha + j

@@ -34,6 +34,7 @@ from hybrid_teleport.engine import (
     NumberFilter,
     Role,
     TermSum,
+    _coherent_coeffs,
     apply_beam_splitter,
     default_cutoff,
     filtered_overlap,
@@ -110,6 +111,19 @@ class TestLocalKets:
         # ket_vector raises CutoffInsufficientError above COHERENT_TAIL_TOL
         vec = ket_vector(Coherent(g), default_cutoff(g))
         assert 1.0 - np.vdot(vec, vec).real < COHERENT_TAIL_TOL
+
+    @pytest.mark.parametrize("a", [38.6, 60.0, 100.0, 150.0])
+    def test_coherent_tail_is_the_omitted_weight(self, a):
+        # the tail is the weight past the cutoff, not 1 - sum |c_n|^2, which
+        # is rounding error at these amplitudes (negative at a = 100)
+        cutoff = default_cutoff(a)
+        _, tail = _coherent_coeffs(complex(a), cutoff)
+        weights, n = [], cutoff + 1
+        while not weights or weights[-1] > 1e-40:  # past the cutoff they only fall
+            weights.append(math.exp(-a * a + 2.0 * n * math.log(a) - math.lgamma(n + 1.0)))
+            n += 1
+        assert 0.0 <= tail < COHERENT_TAIL_TOL
+        assert math.isclose(tail, math.fsum(weights), rel_tol=1e-3)
 
     def test_normalize_ket_unit_norm_and_phase(self):
         s, k = normalize_ket(FockVector((0.0, -2.0j, 1.0j)))

@@ -63,6 +63,17 @@ class TestSphereQuadrature:
         with pytest.raises(ValueError):
             SphereQuadrature(0, 4)
 
+    @pytest.mark.parametrize("quad", [SphereQuadrature(8, 16), SphereQuadrature()])
+    def test_grid_matches_bloch_angles(self, quad):
+        # M is built from the nodes with numpy; each entry is within 1 ulp of
+        # BlochAngles' mu and nu at that node, and the weights are the nodes'
+        m, w = quad.mu_nu_grid()
+        nodes = quad.nodes()
+        want = np.array([[BlochAngles(u, v).mu, BlochAngles(u, v).nu] for u, v, _ in nodes])
+        np.testing.assert_array_max_ulp(m.real, want.real, maxulp=1)
+        np.testing.assert_array_max_ulp(m.imag, want.imag, maxulp=1)
+        assert np.array_equal(w, [wt for _, _, wt in nodes])
+
     def test_grid_is_read_only(self):
         quad = SphereQuadrature(4, 8)
         m, w = quad.mu_nu_grid()
