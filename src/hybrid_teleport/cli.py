@@ -158,11 +158,10 @@ def config_from_sources(args: argparse.Namespace) -> SweepConfig:
 
 def _sweep_point(hybrid: HybridType, alpha: float, r: float, config: SweepConfig):
     """(avg_fidelity, avg_success) for one grid point with the chosen engine."""
-    quad = config.quadrature()
     t = math.sqrt(1.0 - r * r)
     if config.engine == "closed-form":
         return (
-            formulas.average_fidelity(hybrid, alpha, t, quad),
+            formulas.average_fidelity(hybrid, alpha, t, config.quadrature()),
             formulas.success_probability(hybrid, alpha, t),
         )
     backend = (
@@ -172,8 +171,8 @@ def _sweep_point(hybrid: HybridType, alpha: float, r: float, config: SweepConfig
     )
     loss = LossParameter(r)
     return (
-        protocol.average_fidelity(hybrid, alpha, loss, quad, backend),
-        protocol.average_success(hybrid, alpha, loss, quad, backend),
+        protocol.average_fidelity(hybrid, alpha, loss, backend),
+        protocol.average_success(hybrid, alpha, loss, backend),
     )
 
 
@@ -273,11 +272,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--r-max", type=float, default=None, metavar="R")
     parser.add_argument("--r-step", type=float, default=None, metavar="DR")
     parser.add_argument("--engine", choices=ENGINES, default=None,
-                        help="evaluation engine (default closed-form)")
+                        help="evaluation engine (default closed-form); "
+                        "first-principles sphere averages are exact")
     parser.add_argument("--quad-u", type=int, default=None, metavar="N",
-                        help="polar quadrature size (default 32)")
+                        help="polar size of the closed-form sphere rule (default 32)")
     parser.add_argument("--quad-v", type=int, default=None, metavar="N",
-                        help="azimuthal quadrature size (default 64)")
+                        help="azimuthal size of the closed-form sphere rule (default 64)")
     parser.add_argument("--out", default=None, metavar="PATH",
                         help="output path (default stdout)")
     parser.add_argument("--format", choices=("csv", "json"), default=None,

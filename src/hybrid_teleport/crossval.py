@@ -202,7 +202,7 @@ def check_closed_vs_simulated(
     quad: SphereQuadrature = DEFAULT_QUADRATURE,
     tolerance: float = 1e-6,
 ) -> CheckResult:
-    """Averaged fidelity and success: closed forms vs the protocol engine."""
+    """Averaged fidelity and success: closed forms (rule quad) vs the exact protocol engine."""
     worst = 0.0
     for alpha in alphas:
         for r in rs:
@@ -212,11 +212,11 @@ def check_closed_vs_simulated(
                 worst = max(
                     worst,
                     abs(
-                        average_fidelity(hybrid, alpha, loss, quad)
+                        average_fidelity(hybrid, alpha, loss)
                         - formulas.average_fidelity(hybrid, alpha, t, quad)
                     ),
                     abs(
-                        average_success(hybrid, alpha, loss, quad)
+                        average_success(hybrid, alpha, loss)
                         - formulas.success_probability(hybrid, alpha, t)
                     ),
                 )

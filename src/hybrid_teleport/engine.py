@@ -909,10 +909,12 @@ class Contraction:
         families on disjoint modes; a bare ModeProjector is a family of one,
         a missing family (NO_PROJECTOR,).  prob[i, j] = Tr[P_i P'_j rho] and
         W[i, j, a, b] weighs |kept.kets[a]><kept.bras[b]| in that output.
-        Q, the coefficients times the environment's plain trace, is summed
-        once onto (kept product, folded tuple, batched tuple) pairs: the
-        family with fewer distinct factor tuples is folded, and each outcome
-        of the other is one contraction of those sums with its branch sums.
+        Each side's coefficients are summed onto (cell, environment tuple)
+        pairs, a cell being a (kept product, folded tuple, batched tuple):
+        A E B^dag, E the environment's plain-trace table, weighs every cell
+        pair, and no N_ket x N_bra array is built.  The family with fewer
+        distinct factor tuples is folded; each outcome of the other is one
+        contraction of the cell weights with its branch sums.
         """
         fams = [(f,) if isinstance(f, ModeProjector) else tuple(f) for f in families]
         if len(fams) > 2:
@@ -922,32 +924,34 @@ class Contraction:
         if set(named[0]) & set(named[1]):
             raise ValueError("projector families must act on disjoint modes")
         env = tuple(m for m in self.traced if m not in named[0] + named[1])
-        env_k, env_b, plain = product_sums(self.ket, self.bra, env, (NO_PROJECTOR,), self.backend)
-        q = np.outer(self.ket.coeffs, self.bra.coeffs.conj()) * plain[0][env_k[:, None], env_b]
+        *env_ids, plain = product_sums(self.ket, self.bra, env, (NO_PROJECTOR,), self.backend)
         sums = [product_sums(self.ket, self.bra, modes, fam, self.backend)
                 for modes, fam in zip(named, fams)]
         swap = sums[0][2][0].size < sums[1][2][0].size
-        (batch_k, batch_b, batch), (fold_k, fold_b, fold) = sums[::-1] if swap else sums
-        # keys (kept product, folded tuple), first-seen, and each term's key
-        def keyed(kept, ids, n_kept, n_fold):
-            first, cells = _first_seen(kept * n_fold + ids, n_kept * n_fold)
-            return np.stack([kept[first], ids[first]], axis=1), cells
+        (*batch_ids, batch), (*fold_ids, fold) = sums[::-1] if swap else sums
 
-        ket_keys, ket_cells = keyed(self.ket_kept, fold_k, len(self.kept.kets), fold.shape[1])
-        bra_keys, bra_cells = (
-            (ket_keys, ket_cells) if self.bra is self.ket
-            else keyed(self.bra_kept, fold_b, len(self.kept.bras), fold.shape[2])
-        )
-        # Q summed onto (key, batched tuple) pairs: no N_ket x N_bra array per outcome
-        _, tk, tb = batch.shape
-        rows = np.eye(len(ket_keys) * tk)[ket_cells * tk + batch_k]
-        cols = np.eye(len(bra_keys) * tb)[bra_cells * tb + batch_b]
-        pairs = (rows.T @ q @ cols).reshape(len(ket_keys), tk, len(bra_keys), tb)
+        def cells(s, side, kept, n_kept):
+            # keys (kept product, folded tuple) numbered in code order, so grouped
+            # by kept product; a[(key, batched tuple), environment tuple]
+            n_fold, n_batch = fold.shape[1 + s], batch.shape[1 + s]
+            codes = kept * n_fold + fold_ids[s]
+            key, n_keys = _groups(codes, n_kept * n_fold)
+            key_codes = np.empty(n_keys, dtype=np.int64)
+            key_codes[key] = codes
+            a = np.zeros((n_keys * n_batch, plain.shape[1 + s]), dtype=complex)
+            np.add.at(a, (key * n_batch + batch_ids[s], env_ids[s]), side.coeffs)
+            return np.flatnonzero(np.diff(key_codes // n_fold, prepend=-1)), key_codes % n_fold, a
+
+        ket_starts, ket_fold, a = ket_cells = cells(0, self.ket, self.ket_kept, len(self.kept.kets))
+        bra_starts, bra_fold, b = (ket_cells if self.bra is self.ket else
+                                   cells(1, self.bra, self.bra_kept, len(self.kept.bras)))
+        pairs = (a @ plain[0] @ b.conj().T).reshape(len(ket_fold), batch.shape[1],
+                                                    len(bra_fold), batch.shape[2])
         staged = np.einsum("ktlu,itu->ikl", pairs, batch)
         # times each folded outcome's branch sum, summed onto the kept products
-        folded = staged[:, None] * fold[:, ket_keys[:, 1]][:, :, bra_keys[:, 1]]
-        w = np.eye(len(self.kept.kets))[ket_keys[:, 0]].T @ folded
-        w = w @ np.eye(len(self.kept.bras))[bra_keys[:, 0]]
+        w = staged[:, None] * fold[:, ket_fold][:, :, bra_fold]
+        for axis, starts in ((2, ket_starts), (3, bra_starts)):
+            w = np.add.reduceat(w, starts, axis=axis) if len(starts) else w
         if swap:
             w = w.swapaxes(0, 1)
         return np.einsum("ijab,ab->ij", w, self.keep_trace), w
@@ -974,7 +978,8 @@ class Contraction:
                                         self.backend)
             return mix.conj() @ sums[0][:, ids].T
 
-        return brakets(self.ket), brakets(self.bra).conj().T
+        left = brakets(self.ket)
+        return left, (left if self.bra is self.ket else brakets(self.bra)).conj().T
 
 
 def gram_eigvals(state: TermSum, backend: Backend) -> np.ndarray:

@@ -4,10 +4,10 @@ The pipeline builds the input qubit (pure, in the dynamic basis) and the
 channel, leaks each channel mode into its own environment mode on a beam
 splitter (photon loss), interferes the matching halves on 50:50 beam
 splitters, and resolves every joint detector outcome with the environment
-traced out.  Expensive work is organized around the bilinearity of the
-protocol in the input state: one run per logical basis pair |x_L><y_L|
-yields outcome tensors from which any Bloch input, any sphere average,
-and any conditional state follow by cheap contraction.
+traced out.  Expensive work is organized around the linearity of the
+protocol in the input state: one run of the Choi state, the input entangled
+with a reference mode, yields outcome tensors from which any Bloch input,
+the exact sphere average and any conditional state follow cheaply.
 """
 
 from __future__ import annotations
@@ -34,8 +34,14 @@ from .engine import (
     COHERENT_ALGEBRA,
     Backend,
     Contraction,
+    KeptProducts,
+    KetSum,
+    ModeLayout,
+    Role,
     TermSum,
     apply_beam_splitter,
+    fock,
+    term_overlaps,
 )
 from .loss import LossParameter, dilate
 from .measurement import (
@@ -106,19 +112,24 @@ class SphereQuadrature:
 DEFAULT_QUADRATURE = SphereQuadrature()
 
 
-@lru_cache(maxsize=64)
-def _protocol_states(hybrid: HybridType, alpha: float, r: float) -> tuple:
-    """Pre-measurement kets Psi_0, Psi_1 for the logical inputs |0_L>, |1_L>.
+# the reference mode of the Choi state: |x>_R marks the logical input |x_L>
+R_LAYOUT = ModeLayout(("R",), (2,), (Role.PHOTONIC,))
+R_KETS = tuple(KetSum(R_LAYOUT, [(1.0, (fock(x),))]) for x in (0, 1))
 
+
+@lru_cache(maxsize=64)
+def _protocol_states(hybrid: HybridType, alpha: float, r: float) -> KetSum:
+    """Pre-measurement Choi ket sum_x |x>_R Psi_x, Psi_x that of the input |x_L>.
+
+    R comes first, so each R-block is the canonical Psi_x term for term.
     Loss is a beam splitter onto one vacuum environment mode per channel
-    mode, so each state stays a ket; the environment is traced out by the
+    mode, so the state stays a ket; the environment is traced out by the
     contraction.  The result is exact and backend-free: beam splitting
     acts through structural identities (coherent pairs stay coherent;
     photonic pairs are rotated within photon-number sectors).
     """
     loss = LossParameter(r)
     basis = DynamicBasis(alpha, loss)
-    scale = math.sqrt(2.0)
     ch_modes = (
         photonic_modes(hybrid, "b")
         + (coherent_mode("b"),)
@@ -126,14 +137,11 @@ def _protocol_states(hybrid: HybridType, alpha: float, r: float) -> tuple:
         + (coherent_mode("c"),)
     )
     channel = dilate(ideal_channel(hybrid, alpha), ch_modes, loss)
-    out = []
-    for bit in (0, 1):
-        psi = logical_ket(hybrid, bit, basis, "a", coh_scale=scale).tensor(channel)
-        for pm, am in zip(photonic_modes(hybrid, "b"), photonic_modes(hybrid, "a")):
-            psi = apply_beam_splitter(psi, pm, am)
-        psi = apply_beam_splitter(psi, "A", "B")
-        out.append(psi.canonicalized())
-    return tuple(out)
+    psi = reduce(KetSum.__add__, (ref.tensor(logical_ket(hybrid, bit, basis, "a", math.sqrt(2.0)))
+                                  for bit, ref in enumerate(R_KETS))).tensor(channel)
+    for pm, am in zip(photonic_modes(hybrid, "b"), photonic_modes(hybrid, "a")):
+        psi = apply_beam_splitter(psi, pm, am)
+    return apply_beam_splitter(psi, "A", "B").canonicalized()
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,7 +149,7 @@ class OutcomeTensors:
     """Basis-pair-resolved data for one joint outcome, in the logical basis.
 
     prob[x, y] is the unnormalized weight of the outcome for the input
-    operator |x_L><y_L|; kept maps (x, y), x <= y, to the (KeptProducts, W)
+    operator |x_L><y_L|; kept maps every (x, y) to the (KeptProducts, W)
     of the uncorrected (still unnormalized) receiver operator rho_xy, and
     states, built on first access, maps every (x, y) to rho_xy; fid[x, y,
     p, q] is <p_L| C rho_xy C^dag |q_L> for the outcome's correction C.
@@ -158,8 +166,7 @@ class OutcomeTensors:
     def states(self) -> dict:
         if self.kept is None:
             return None
-        states = {xy: products.operator(w) for xy, (products, w) in self.kept.items()}
-        return {**states, (1, 0): states[0, 1].adjoint()}
+        return {xy: products.operator(w) for xy, (products, w) in self.kept.items()}
 
 
 @lru_cache(maxsize=256)
@@ -168,12 +175,13 @@ def outcome_tensors(
 ) -> tuple:
     """All joint-outcome tensors for one parameter point, outcome-ordered.
 
-    Every Pauli correction C maps Bob's logical kets onto +/- each other
-    (LOGICAL_PAULI), so fid = U L U^dag with L[p, q] = <p_L|rho_xy|q_L>
-    taken on the uncorrected state: no correction is applied here.  L is
-    read from the contraction's kept-mode weights W as A W B, with the
-    logical-ket overlaps A and B taken once per basis pair.  One weights()
-    call per basis pair resolves both analyzers' outcome families.
+    One contraction of the Choi state (_protocol_states) with itself that
+    keeps R and Bob's modes, and one weights() call, resolve every basis
+    pair and both analyzers' outcome families: rho_xy is the R-block (x, y)
+    of the kept-mode weights W.  Every Pauli correction C maps Bob's logical
+    kets onto +/- each other (LOGICAL_PAULI), so fid = U L U^dag with L[x,
+    y, p, q] = <x|_R <p_L| W |y>_R |q_L> read as A W B; no correction is
+    applied here.  prob[x, y] is rho_xy's trace, from W and Bob's Gram matrix.
     """
     labels = enumerate_outcomes(hybrid)
     corrections = [correction_lookup(hybrid, label) for label in labels]
@@ -183,24 +191,24 @@ def outcome_tensors(
     )
     basis = DynamicBasis(alpha, LossParameter(r))
     bob_kets = [logical_ket(hybrid, bit, basis, "c") for bit in (0, 1)]
-    states = _protocol_states(hybrid, alpha, r)
-
-    prob = np.zeros((len(labels), 2, 2), dtype=complex)
-    logical = np.zeros((len(labels), 2, 2, 2, 2), dtype=complex)
-    kept = [{} for _ in labels]
-    for x, y in ((0, 0), (0, 1), (1, 1)):
-        contraction = Contraction(states[x], states[y], bob_kets[0].layout.names, backend)
-        left, right = contraction.kept_overlaps(bob_kets)
-        probs, weights = contraction.weights(*families)
-        # labels are s-major, alpha-minor: outcome pair (i, j) is label i * n_alpha + j
-        prob[:, x, y] = probs.reshape(-1)
-        weights = weights.reshape(len(labels), *weights.shape[2:])
-        logical[:, x, y] = left @ weights @ right
-        for n, w in enumerate(weights):
-            kept[n][x, y] = contraction.kept, w
-    # rho_10 = rho_01^dag
-    prob[:, 1, 0] = prob[:, 0, 1].conj()
-    logical[:, 1, 0] = logical[:, 0, 1].conj().swapaxes(-1, -2)
+    bob = bob_kets[0].layout
+    choi = _protocol_states(hybrid, alpha, r)
+    contraction = Contraction(choi, choi, ("R",) + bob.names, backend)
+    left, right = contraction.kept_overlaps([ref.tensor(ket) for ref in R_KETS for ket in bob_kets])
+    _, weights = contraction.weights(*families)
+    # labels are s-major, alpha-minor: outcome pair (i, j) is label i * n_alpha + j
+    weights = weights.reshape(len(labels), *weights.shape[2:])
+    # (left W right)[(x, p), (y, q)] = <x|_R <p_L| rho |y>_R |q_L>
+    logical = (left @ weights @ right).reshape(len(labels), 2, 2, 2, 2).swapaxes(2, 3)
+    # a kept product is |x>_R times a Bob product: rho_xy is the R-block (x, y) of W
+    kets = contraction.kept.kets
+    in_block = np.array([[k[0] == fock(x) for k in kets] for x in (0, 1)], dtype=float)
+    rows = [np.flatnonzero(mask) for mask in in_block]
+    products = [tuple(kets[a][1:] for a in block) for block in rows]
+    blocks = {(x, y): (KeptProducts(bob, products[x], products[y]), np.ix_(rows[x], rows[y]))
+              for x in (0, 1) for y in (0, 1)}
+    bobs = KetSum(bob, [(1.0, k[1:]) for k in kets])
+    prob = in_block @ (weights * term_overlaps(bobs, bobs, backend)) @ in_block.T
     prob.setflags(write=False)
 
     out = []
@@ -211,7 +219,8 @@ def outcome_tensors(
         u = LOGICAL_PAULI[correction]
         fid = np.einsum("pr,xyrs,qs->xypq", u, logical[n], u.conj())
         fid.setflags(write=False)
-        out.append(OutcomeTensors(label, correction, prob[n], kept[n], fid))
+        kept = {xy: (pair, weights[n][cells]) for xy, (pair, cells) in blocks.items()}
+        out.append(OutcomeTensors(label, correction, prob[n], kept, fid))
     return tuple(out)
 
 
@@ -269,11 +278,6 @@ class TeleportReport:
         raise KeyError((s_outcome, alpha_outcome))
 
 
-def _weight_matrix(angles: BlochAngles) -> np.ndarray:
-    m = np.array([angles.mu, angles.nu], dtype=complex)
-    return np.outer(m, m.conj())
-
-
 def teleport_once(
     hybrid: HybridType,
     alpha: float,
@@ -283,8 +287,8 @@ def teleport_once(
 ) -> TeleportReport:
     """Run the protocol for one Bloch input and resolve every outcome."""
     tensors = outcome_tensors(hybrid, alpha, loss.r, backend)
-    w = _weight_matrix(angles)
     m = np.array([angles.mu, angles.nu], dtype=complex)
+    w = np.outer(m, m.conj())
     entries = []
     p_success = 0.0
     pf_success = 0.0
@@ -332,19 +336,48 @@ def _success_sums(tensors) -> tuple:
     return sum(data.prob for data in wins), sum(data.fid for data in wins)
 
 
+# identity and Pauli X, Y, Z: the input of Bloch vector n is (SIGMA[0] + n . SIGMA[1:]) / 2
+SIGMA = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+
+
+def _sphere_average(p_sum: np.ndarray, f_sum: np.ndarray) -> float:
+    """Exact Bloch-sphere average of N(n) / P(n); nan if a coefficient is not
+    finite or a <= |b|, where some input would have no success probability.
+
+    P = a + b . n and N = (1, n) S (1, n)^T are affine and quadratic in n.
+    At height z along b, uniform on [-1, 1], N averages to c0 + c1 z + c2 z^2,
+    so the average is (1/2) int (c0 + c1 z + c2 z^2) / (a + |b| z) dz: a
+    series in eps = |b| / a below 1/2, through atanh(eps) above.
+    """
+    p = 0.5 * np.real(np.einsum("kxy,xy->k", SIGMA, p_sum))
+    t = np.einsum("kxy,lqp,xypq->kl", SIGMA, SIGMA, f_sum)
+    s = 0.125 * np.real(t + t.T)
+    a, beta = p[0], float(np.linalg.norm(p[1:]))
+    if not (np.all(np.isfinite(s)) and a > beta):
+        return math.nan
+    axis = p[1:] / beta if beta > 0.0 else np.array([0.0, 0.0, 1.0])
+    along, trace = axis @ s[1:, 1:] @ axis, np.trace(s[1:, 1:])
+    c = (s[0, 0] + 0.5 * (trace - along), 2.0 * s[0, 1:] @ axis, 1.5 * along - 0.5 * trace)
+    # j[k] = int z^k / (1 + eps z) dz over [-1, 1]
+    eps = beta / a
+    if eps < 0.5:
+        n, k = np.arange(64), np.arange(3)[:, None]
+        j = np.sum((-eps) ** n * ((k + n) % 2 == 0) * 2.0 / (k + n + 1), axis=1)
+    else:
+        j0 = 2.0 * math.atanh(eps) / eps
+        j = (j0, (2.0 - j0) / eps, (j0 - 2.0) / eps ** 2)
+    return float(np.dot(c, j)) / (2.0 * a)
+
+
 def average_success(
     hybrid: HybridType,
     alpha: float,
     loss: LossParameter,
-    quad: SphereQuadrature = DEFAULT_QUADRATURE,
     backend: Backend = COHERENT_ALGEBRA,
 ) -> float:
-    """Sphere-averaged total success probability."""
-    tensors = outcome_tensors(hybrid, alpha, loss.r, backend)
-    p_sum, _ = _success_sums(tensors)
-    m, w = quad.mu_nu_grid()
-    p_nodes = np.real(np.einsum("nx,ny,xy->n", m, m.conj(), p_sum))
-    value = float(np.dot(w, p_nodes))
+    """Sphere-averaged total success probability, exact: half the trace of p_sum."""
+    p_sum, _ = _success_sums(outcome_tensors(hybrid, alpha, loss.r, backend))
+    value = 0.5 * float(np.real(np.trace(p_sum)))
     if not math.isfinite(value):
         raise NonFiniteError("average_success", hybrid, alpha, loss.r, value)
     return value
@@ -354,18 +387,10 @@ def average_fidelity(
     hybrid: HybridType,
     alpha: float,
     loss: LossParameter,
-    quad: SphereQuadrature = DEFAULT_QUADRATURE,
     backend: Backend = COHERENT_ALGEBRA,
 ) -> float:
-    """Success-conditioned average fidelity over the Bloch sphere."""
-    tensors = outcome_tensors(hybrid, alpha, loss.r, backend)
-    p_sum, f_sum = _success_sums(tensors)
-    m, w = quad.mu_nu_grid()
-    num = np.real(
-        np.einsum("nx,ny,np,nq,xypq->n", m, m.conj(), m.conj(), m, f_sum)
-    )
-    den = np.real(np.einsum("nx,ny,xy->n", m, m.conj(), p_sum))
-    value = float(np.dot(w, num / den))
+    """Success-conditioned average fidelity over the Bloch sphere, exact."""
+    value = _sphere_average(*_success_sums(outcome_tensors(hybrid, alpha, loss.r, backend)))
     if not math.isfinite(value):
         raise NonFiniteError("average_fidelity", hybrid, alpha, loss.r, value)
     return value

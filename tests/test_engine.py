@@ -46,6 +46,8 @@ from hybrid_teleport.engine import (
     trace_distance,
 )
 
+from protocol_oracle import dense_weights
+
 BACKENDS = (COHERENT_ALGEBRA, TRUNCATED_FOCK)
 TRACE = ModeProjector(((),))  # one empty branch: the plain partial trace
 
@@ -583,6 +585,36 @@ class TestContraction:
             # matrix elements read from the weights, between multi-term kept kets
             want = vecs.conj() @ want_reduced @ vecs.T
             assert np.allclose(left @ weights[cell] @ right, want, atol=1e-10)
+
+    # small factor pools, so that drawn terms share kept products, branch
+    # tuples and environment tuples
+    TERMS = st.lists(
+        st.tuples(
+            st.builds(complex, st.floats(-1, 1), st.floats(-1, 1)),
+            st.tuples(
+                st.sampled_from([fock(0), fock(1), FockVector((0.6, 0.8)), FockVector((1.0, -1j))]),
+                st.sampled_from([fock(0), fock(1), fock(2), FockVector((0.3, 0.4j, 0.5))]),
+                st.sampled_from([Coherent(0.9), Coherent(-0.9), Coherent(0.4 + 0.3j)]),
+            ),
+        ),
+        min_size=1, max_size=12,
+    )
+
+    @given(TERMS, TERMS, st.booleans(), st.sampled_from(["families", "family", "pair", "partial"]))
+    @settings(max_examples=40, deadline=None)
+    def test_cell_pairs_match_dense_q(self, ket_terms, bra_terms, same, name):
+        # weights() sums each side's coefficients onto (cell, environment
+        # tuple) pairs and takes A E B^dag; the reference sums the dense
+        # terms x terms array Q onto the cells through one-hot matrices
+        ket = KetSum(self.LAYOUT, ket_terms)
+        bra = ket if same else KetSum(self.LAYOUT, bra_terms)
+        families = self.FAMILIES.get(name) or tuple((t,) for t in self.PROJECTORS[name])
+        families = [[ModeProjector(table) for table in fam] for fam in families]
+        contraction = Contraction(ket, bra, ("p",), COHERENT_ALGEBRA)
+        probs, weights = contraction.weights(*families)
+        want_probs, want_weights = dense_weights(contraction, *families)
+        assert np.allclose(probs, want_probs, rtol=0.0, atol=1e-13)
+        assert np.allclose(weights, want_weights, rtol=0.0, atol=1e-13)
 
     def test_empty_ket_contracts_to_zero(self):
         # a ket whose terms all cancelled still contracts, to nothing

@@ -1,7 +1,7 @@
 """The factor-id array form of KetSum against term-list oracles.
 
-The protocol states must match the tuple-based reference pipeline in
-ket_oracle term for term, and random small sums must agree with dense
+Each R-block of the protocol's Choi state must match the tuple-based
+reference pipeline in ket_oracle term for term, and random small sums must agree with dense
 truncated-Fock vectors through tensor products, beam splitters and
 canonicalization.
 """
@@ -25,6 +25,7 @@ from hybrid_teleport.engine import (
     Role,
     TermSum,
     apply_beam_splitter,
+    fock,
     ket_vector,
     normalize_ket,
 )
@@ -52,17 +53,21 @@ def assert_same_terms(got: list, want: list, tol: float = 1e-15):
 @pytest.mark.parametrize("hybrid", [HybridType.TYPE_I, HybridType.TYPE_II])
 @pytest.mark.parametrize("alpha, r", PROBES)
 def test_protocol_states_match_term_lists(hybrid, alpha, r):
-    got = protocol._protocol_states(hybrid, alpha, r)
+    # the Choi ket's block of R = |x> is the reference Psi_x term for term
+    choi = protocol._protocol_states(hybrid, alpha, r)
     want = protocol_state_terms(hybrid, alpha, r)
-    for state, terms in zip(got, want):
-        assert_same_terms(state.terms, terms)
+    assert choi.layout.names[0] == "R"
+    assert len(choi.terms) == sum(map(len, want))
+    for x, terms in enumerate(want):
+        assert_same_terms([(c, kets[1:]) for c, kets in choi.terms if kets[0] == fock(x)], terms)
     if hybrid is HybridType.TYPE_I:
         # every environment factor is the vacuum at r = 0
-        assert len(got[0].terms) == (24 if r == 0.0 else 112)
+        assert len(want[0]) == (24 if r == 0.0 else 112)
 
 
 def test_factor_tables_hold_distinct_used_factors():
-    state = protocol._protocol_states(HybridType.TYPE_I, 2.0, 0.3)[0]
+    state = protocol._protocol_states(HybridType.TYPE_I, 2.0, 0.3)
+    assert set(state.factors[0]) == {fock(0), fock(1)}
     for m, table in enumerate(state.factors):
         assert len(set(table)) == len(table)
         assert sorted(set(state.ids[:, m].tolist())) == list(range(len(table)))

@@ -34,6 +34,8 @@ from hybrid_teleport.protocol import (
     teleport_once,
 )
 
+import protocol_oracle
+
 ANGLES = BlochAngles(1.1, 2.3)
 HYBRIDS = (HybridType.TYPE_I, HybridType.TYPE_II)
 
@@ -167,17 +169,18 @@ class TestLossyInvariants:
 
 
 class TestAverages:
+    # first-principles averages are exact; the closed forms use the default
+    # 32 x 64 sphere rule where they need one
     @pytest.mark.parametrize("hybrid", HYBRIDS)
     def test_agree_with_closed_forms(self, hybrid):
         loss = LossParameter(0.3)
         t = loss.t
-        quad = SphereQuadrature(12, 24)
-        f_sim = average_fidelity(hybrid, 1.0, loss, quad)
-        p_sim = average_success(hybrid, 1.0, loss, quad)
+        f_sim = average_fidelity(hybrid, 1.0, loss)
+        p_sim = average_success(hybrid, 1.0, loss)
         f_closed = (
             formulas.average_fidelity(hybrid, 1.0, t)
             if hybrid is HybridType.TYPE_I
-            else formulas.average_fidelity_quadrature(1.0, t, quad)
+            else formulas.average_fidelity_quadrature(1.0, t)
         )
         p_closed = formulas.success_probability(hybrid, 1.0, t)
         assert abs(f_sim - f_closed) < 1e-8
@@ -197,10 +200,9 @@ class TestAverages:
         # Gaussian with an overflowing sinh/cosh/exp unless they share one
         # exponent
         loss = LossParameter(r)
-        quad = SphereQuadrature(8, 16)
-        f_sim = average_fidelity(hybrid, alpha, loss, quad)
-        p_sim = average_success(hybrid, alpha, loss, quad)
-        f_closed = formulas.average_fidelity(hybrid, alpha, loss.t, quad)
+        f_sim = average_fidelity(hybrid, alpha, loss)
+        p_sim = average_success(hybrid, alpha, loss)
+        f_closed = formulas.average_fidelity(hybrid, alpha, loss.t)
         p_closed = formulas.success_probability(hybrid, alpha, loss.t)
         assert abs(f_sim - f_closed) < 1e-6
         assert abs(p_sim - p_closed) < 1e-6
@@ -208,8 +210,7 @@ class TestAverages:
     def test_success_average_is_angle_weighted(self):
         # the sphere average must lie between the per-angle extremes
         loss = LossParameter(0.4)
-        quad = SphereQuadrature(8, 16)
-        avg = average_success(HybridType.TYPE_II, 1.0, loss, quad)
+        avg = average_success(HybridType.TYPE_II, 1.0, loss)
         per_angle = [
             teleport_once(HybridType.TYPE_II, 1.0, loss, BlochAngles(u, v)).success_probability
             for u, v, _ in SphereQuadrature(3, 4).nodes()
@@ -289,21 +290,130 @@ class TestLogicalRead:
                 assert np.allclose(data.fid[x, y], want, rtol=0.0, atol=1e-14)
 
 
-class TestBatchedContraction:
+# both types; both backends at small alpha, the coherent one across the CLI range
+ORACLE_PROBES = [
+    (hybrid, backend, alpha, r)
+    for hybrid in HYBRIDS
+    for backend, points in [
+        (TRUNCATED_FOCK, [(1.0, 0.0), (1.0, 0.3), (2.0, 0.6), (1.0, 0.9)]),
+        (COHERENT_ALGEBRA, [(1.0, 0.0), (1.0, 0.3), (2.0, 0.6), (1.0, 0.9),
+                            (22.42, 0.22), (5.0, 0.98), (10.0, 0.0)]),
+    ]
+    for alpha, r in points
+]
+
+
+class TestChoiContraction:
+    @pytest.mark.parametrize(
+        "hybrid, backend, alpha, r", ORACLE_PROBES,
+        ids=lambda v: getattr(v, "kind", getattr(v, "value", str(v))))
+    def test_matches_three_contraction_oracle(self, hybrid, backend, alpha, r):
+        # the Choi contraction against one contraction per basis pair, with
+        # the dense terms x terms Q, and the pair (1, 0) by conjugation
+        want = protocol_oracle.outcome_tensors(hybrid, alpha, r, backend)
+        for data, (prob, fid, kept) in zip(outcome_tensors(hybrid, alpha, r, backend), want):
+            assert np.max(np.abs(data.prob - prob)) <= 1e-15
+            if fid is None:
+                assert data.fid is None and data.kept is None
+                continue
+            assert np.max(np.abs(data.fid - fid)) <= 1e-15
+            assert data.kept.keys() == kept.keys()
+            for xy, (products, w) in kept.items():
+                assert data.kept[xy][0] == products
+                assert np.max(np.abs(data.kept[xy][1] - w), initial=0.0) <= 1e-15
+
     @pytest.mark.parametrize("hybrid", HYBRIDS)
-    def test_one_weights_call_per_basis_pair(self, hybrid, monkeypatch):
-        # both analyzers' outcome families go through one call per basis pair
+    def test_one_contraction_and_weights_call_per_point(self, hybrid, monkeypatch):
+        # every basis pair and both analyzers' outcome families go through one
+        # contraction of the Choi state and one weights() call
         calls = []
-        weights = Contraction.weights
+        init, weights = Contraction.__init__, Contraction.weights
+
+        def counted_init(self, *args):
+            calls.append("contraction")
+            init(self, *args)
 
         def counted(self, *families):
             calls.append(len(families))
             return weights(self, *families)
 
+        monkeypatch.setattr(Contraction, "__init__", counted_init)
         monkeypatch.setattr(Contraction, "weights", counted)
         # __wrapped__ bypasses the lru cache: the call is always cold
         outcome_tensors.__wrapped__(hybrid, 2.0, 0.5, COHERENT_ALGEBRA)
-        assert calls == [2, 2, 2]
+        assert calls == ["contraction", 2]
+
+    def test_averages_read_no_sphere_grid(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("sphere grid read")
+
+        monkeypatch.setattr(SphereQuadrature, "nodes", refuse)
+        monkeypatch.setattr(SphereQuadrature, "mu_nu_grid", refuse)
+        for hybrid in HYBRIDS:
+            average_fidelity(hybrid, 1.3, LossParameter(0.45))
+            average_success(hybrid, 1.3, LossParameter(0.45))
+
+
+def grid_averages(p_sum, f_sum, quad):
+    """(fidelity, success) averaged on the nodes of a sphere rule: the 2-D oracle."""
+    m, w = quad.mu_nu_grid()
+    num = np.real(np.einsum("nx,ny,np,nq,xypq->n", m, m.conj(), m.conj(), m, f_sum))
+    den = np.real(np.einsum("nx,ny,xy->n", m, m.conj(), p_sum))
+    return float(np.dot(w, num / den)), float(np.dot(w, den))
+
+
+def exact_and_grid(hybrid, alpha, r, quad):
+    loss = LossParameter(r)
+    exact = average_fidelity(hybrid, alpha, loss), average_success(hybrid, alpha, loss)
+    sums = protocol._success_sums(outcome_tensors(hybrid, alpha, r, COHERENT_ALGEBRA))
+    return exact, grid_averages(*sums, quad)
+
+
+def eps(hybrid, alpha, r):
+    """|b| / a of the summed success probability P = a + b . n."""
+    p_sum, _ = protocol._success_sums(outcome_tensors(hybrid, alpha, r, COHERENT_ALGEBRA))
+    p = np.real(np.einsum("kxy,xy->k", protocol.SIGMA, p_sum))
+    return np.linalg.norm(p[1:]) / p[0]
+
+
+# a rule dense enough for the averages near r = 1, where P(n) nearly vanishes
+# for some input (|b| / a up to 0.998, b off the z axis for type II)
+DENSE = SphereQuadrature(512, 512)
+
+
+class TestExactSphereAverage:
+    @given(st.sampled_from(HYBRIDS), st.floats(0.1, 5.0), st.floats(0.0, 0.9))
+    @settings(max_examples=25, deadline=None)
+    def test_matches_default_rule(self, hybrid, alpha, r):
+        exact, grid = exact_and_grid(hybrid, alpha, r, SphereQuadrature())
+        assert np.max(np.abs(np.subtract(exact, grid))) <= 1e-12
+
+    @given(st.sampled_from(HYBRIDS), st.floats(0.1, 5.0), st.floats(0.0, 0.999))
+    @example(HybridType.TYPE_I, 1.0, 0.0)  # |b| = 0
+    @example(HybridType.TYPE_II, 1.0, 0.6)  # series branch
+    @example(HybridType.TYPE_II, 1.0, 0.98)  # atanh branch
+    @example(HybridType.TYPE_II, 0.1, 0.999)
+    @settings(max_examples=15, deadline=None)
+    def test_matches_dense_rule(self, hybrid, alpha, r):
+        exact, grid = exact_and_grid(hybrid, alpha, r, DENSE)
+        assert np.max(np.abs(np.subtract(exact, grid))) <= 1e-12
+
+    def test_examples_reach_both_branches(self):
+        assert eps(HybridType.TYPE_I, 1.0, 0.0) == 0.0
+        assert 0.0 < eps(HybridType.TYPE_II, 1.0, 0.6) < 0.5
+        assert 0.5 <= eps(HybridType.TYPE_II, 1.0, 0.98) < 1.0
+
+    @pytest.mark.parametrize("ratio", [0.0, 0.3, 0.7, 0.95])
+    def test_tilted_success_axis(self, ratio):
+        # synthetic tensors whose P(n) = a + b . n has b off the z axis, and a
+        # numerator with every linear and quadratic term
+        rng = np.random.default_rng(7)
+        b = ratio * np.array([0.6, -0.48, 0.64])
+        p_sum = protocol.SIGMA[0] + np.einsum("k,kxy->xy", b, protocol.SIGMA[1:].conj())
+        f_sum = rng.normal(size=(2, 2, 2, 2)) + 1j * rng.normal(size=(2, 2, 2, 2))
+        f_sum = f_sum + f_sum.transpose(1, 0, 3, 2).conj()
+        want, _ = grid_averages(p_sum, f_sum, SphereQuadrature(512, 256))
+        assert abs(protocol._sphere_average(p_sum, f_sum) - want) <= 1e-12
 
 
 def poisoned_tensors(hybrid, alpha, r, field="prob"):
@@ -327,6 +437,22 @@ class TestNonFiniteGuard:
             f"{average.__name__} at type=II alpha=1.5 r=0.3: non-finite value nan"
         )
         assert info.value.stage == average.__name__
+
+    @pytest.mark.parametrize("diagonal", [(0.1, -0.1), (0.2, 0.0)], ids=["a<|b|", "a=|b|"])
+    def test_non_positive_success_names_stage_and_point(self, diagonal, monkeypatch):
+        # P(n) = a + b . n with a <= |b|: some input would never succeed, and
+        # the exact average has no finite value
+        real = outcome_tensors(HybridType.TYPE_II, 1.5, 0.3, COHERENT_ALGEBRA)
+        tilted = tuple(
+            data if data.fid is None else replace(data, prob=np.diag(diagonal).astype(complex))
+            for data in real
+        )
+        monkeypatch.setattr(protocol, "outcome_tensors", lambda *args: tilted)
+        with pytest.raises(NonFiniteError) as info:
+            average_fidelity(HybridType.TYPE_II, 1.5, LossParameter(0.3))
+        assert str(info.value) == (
+            "average_fidelity at type=II alpha=1.5 r=0.3: non-finite value nan"
+        )
 
     @pytest.mark.parametrize(
         "field, stage", [("prob", "success probability"), ("fid", "conditional fidelity")]
