@@ -235,28 +235,30 @@ def apply_correction(
     """
     if pauli not in LOGICAL_PAULI:
         raise ValueError(f"unknown Pauli label {pauli!r}")
-    lay = state.layout
+    lay, width = state.layout, len(state.layout.names)
     coh = lay.index(coherent_mode(slot))
     phot = [lay.index(n) for n in photonic_modes(hybrid, slot)]
     flip = phot[-1]  # the V rail (type-I) or the photonic mode (type-II)
-    done = {}  # terms share their products: each distinct one is corrected once
-
-    def corrected(kets: tuple) -> tuple:
-        out = done.get(kets)
-        if out is None:
-            out = list(kets)
-            if "Z" in pauli:
-                if hybrid is HybridType.TYPE_I:
-                    out[phot[0]], out[phot[1]] = out[phot[1]], out[phot[0]]
-                else:
-                    out[flip] = _swap01(out[flip])
-            if "X" in pauli:
-                out[coh] = _parity_flip(out[coh])
-                out[flip] = _parity_flip(out[flip])
-            out = done[kets] = tuple(out)
-        return out
-
-    return TermSum(lay, [(c, corrected(l), corrected(r)) for c, l, r in state.terms])
+    ids, factors = state.ids.copy(), list(state.factors)
+    maps = []
+    if "Z" in pauli:
+        if hybrid is HybridType.TYPE_I:
+            for m in (0, width):  # left and right columns
+                i, j = phot[0] + m, phot[1] + m
+                ids[:, [i, j]] = ids[:, [j, i]]
+                factors[i], factors[j] = factors[j], factors[i]
+        else:
+            maps.append((flip, _swap01))
+    if "X" in pauli:
+        maps += [(coh, _parity_flip), (flip, _parity_flip)]
+    # each distinct factor of a column is mapped once; tables stay distinct
+    for col, fn in maps:
+        for m in (col, col + width):
+            index = {}
+            remap = [index.setdefault(fn(k), len(index)) for k in factors[m]]
+            factors[m] = tuple(index)
+            ids[:, m] = np.array(remap, dtype=np.int64)[ids[:, m]]
+    return TermSum.from_arrays(lay, state.coeffs, ids, factors)
 
 
 def correction_is_relabel(hybrid: HybridType, pauli: str) -> bool:
@@ -312,7 +314,7 @@ def bell_decomposition_details(
         specs = [ProjectorSpec(MeasurementFamily.B_ALPHA, o) for o in "1234"]
         probs, weights = contraction.weights([projector(spec) for spec in specs])
         for spec, p, w in zip(specs, probs[:, 0], weights[:, 0]):
-            bob = contraction.kept.operator(w)
+            bob = contraction.operator(w)
             prob = float(p.real)
             combo = (kind, sign, "o" + spec.outcome)
             pauli = _SUPPORTED_COMBOS.get(combo)

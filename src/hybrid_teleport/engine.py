@@ -3,8 +3,11 @@
 States live on a fixed tuple of named modes.  A ket sum holds terms
 c * |k_1> x ... x |k_M|, an operator sum holds terms c * prod_m |L_m><R_m|.
 Each per-mode factor is either an explicit Fock coefficient vector or an
-exact coherent state.  Sums keep their factors as given; canonicalized()
-is the one place factors are normalized and near-equal terms merged.
+exact coherent state.  Both sums are held as arrays: a coefficient vector,
+a matrix of factor ids and one table of distinct factors per column (an
+operator has a left and a right column per mode).  Sums keep their factors
+as given; canonicalized() is the one place factors are normalized and
+near-equal terms merged.
 Contractions (overlaps, traces, projections) reduce to per-mode scalar
 factors, evaluated by one of two interchangeable backends: exact
 coherent-state algebra, or truncated Fock sums at the layout cutoffs.
@@ -555,30 +558,31 @@ def _canonical(coeffs: np.ndarray, ids: np.ndarray, factors: tuple, bra_columns:
     return acc[live], np.array(renumber, dtype=np.int64)[kept], tuple(tables)
 
 
-class KetSum:
-    """Pure state: sum of weighted product kets over the layout's modes.
+class _ProductSum:
+    """Sum of weighted product terms, held as arrays.
 
-    Held as arrays: term t is coeffs[t] times the product over modes m of
-    factors[m][ids[t, m]], where factors[m] holds mode m's distinct factors
-    (exact equality).  Operations act on these arrays, and per-factor work
-    runs once per distinct factor; terms lists the same state as (c, kets)
-    pairs.
+    Term t is coeffs[t] times the product over columns m of
+    factors[m][ids[t, m]], where factors[m] holds column m's distinct
+    factors (exact equality).  A sum has _sides blocks of one column per
+    layout mode: a ket's factors, or an operator's left then right ones.
+    Operations act on these arrays, and per-factor work runs once per
+    distinct factor; terms lists the same sum as tuples, derived once.
     """
 
-    __slots__ = ("layout", "coeffs", "ids", "factors", "_terms", "_tuples")
+    __slots__ = ("layout", "coeffs", "ids", "factors", "_terms")
+    _sides = 1
 
     def __init__(self, layout: ModeLayout, terms: Iterable):
-        terms = [(c, kets) for c, kets in terms if c != 0]
-        ids, factors = _intern((kets for _, kets in terms), len(layout.names))
-        self._set(layout, np.array([c for c, _ in terms], dtype=complex), ids, factors)
+        rows = [(c, sum(map(tuple, sides), ())) for c, *sides in terms if c != 0]
+        ids, factors = _intern((row for _, row in rows), self._sides * len(layout.names))
+        self._set(layout, np.array([c for c, _ in rows], dtype=complex), ids, factors)
 
     def _set(self, layout, coeffs, ids, factors):
         self.layout, self.coeffs, self.ids, self.factors = layout, coeffs, ids, tuple(factors)
-        self._terms, self._tuples = None, {}
+        self._terms = None
 
     @classmethod
-    def from_arrays(cls, layout: ModeLayout, coeffs: np.ndarray, ids: np.ndarray,
-                    factors) -> "KetSum":
+    def from_arrays(cls, layout: ModeLayout, coeffs: np.ndarray, ids: np.ndarray, factors):
         """sum_t coeffs[t] prod_m factors[m][ids[t, m]]; zero terms are dropped.
 
         factors[m] must hold distinct factors (exact equality).
@@ -592,10 +596,50 @@ class KetSum:
 
     @property
     def terms(self) -> list:
-        """The terms as (c, kets) pairs, derived once from the arrays; read-only."""
+        """The terms as (c, kets) or (c, lefts, rights) tuples, derived once; read-only."""
         if self._terms is None:
-            self._terms = list(zip(self.coeffs.tolist(), _factor_rows(self.ids, self.factors)))
+            w = len(self.layout.names)
+            self._terms = [(c,) + tuple(row[s * w:(s + 1) * w] for s in range(self._sides))
+                           for c, row in zip(self.coeffs.tolist(), _factor_rows(self.ids, self.factors))]
         return self._terms
+
+    def scaled(self, z: complex):
+        return self.from_arrays(self.layout, self.coeffs * z, self.ids, self.factors)
+
+    def __add__(self, other):
+        if other.layout.names != self.layout.names:
+            raise ValueError("layout mismatch")
+        factors, ids = _merged(self.factors, other.factors, other.ids)
+        return self.from_arrays(self.layout, np.concatenate([self.coeffs, other.coeffs]),
+                                np.concatenate([self.ids, ids]), factors)
+
+    def tensor(self, other):
+        """self x other on the merged layout, terms i over self then j over other."""
+        s, w, v = self._sides, len(self.layout.names), len(other.layout.names)
+        n, m = len(self.coeffs), len(other.coeffs)
+        # per side, this sum's columns then the other's
+        mine = np.broadcast_to(self.ids.reshape(n, 1, s, w), (n, m, s, w))
+        theirs = np.broadcast_to(other.ids.reshape(1, m, s, v), (n, m, s, v))
+        factors = [table for k in range(s)
+                   for table in self.factors[k * w:(k + 1) * w] + other.factors[k * v:(k + 1) * v]]
+        return self.from_arrays(self.layout.merge(other.layout),
+                                np.outer(self.coeffs, other.coeffs).reshape(-1),
+                                np.concatenate([mine, theirs], axis=3).reshape(n * m, s * (w + v)),
+                                factors)
+
+    def canonicalized(self):
+        bra_columns = (self._sides - 1) * len(self.layout.names)
+        return self.from_arrays(self.layout, *_canonical(self.coeffs, self.ids, self.factors, bra_columns))
+
+
+class KetSum(_ProductSum):
+    """Pure state: sum of weighted product kets over the layout's modes."""
+
+    __slots__ = ("_tuples",)
+
+    def _set(self, layout, coeffs, ids, factors):
+        super()._set(layout, coeffs, ids, factors)
+        self._tuples = {}
 
     def tuples(self, modes) -> tuple:
         """(distinct rows of factor ids on modes, first-seen; each term's row); cached."""
@@ -615,28 +659,6 @@ class KetSum:
         return KetSum.from_arrays(self.layout.subset(names), self.coeffs, self.ids[:, idx],
                                   [self.factors[i] for i in idx])
 
-    def scaled(self, z: complex) -> "KetSum":
-        return KetSum.from_arrays(self.layout, self.coeffs * z, self.ids, self.factors)
-
-    def __add__(self, other: "KetSum") -> "KetSum":
-        if other.layout.names != self.layout.names:
-            raise ValueError("layout mismatch")
-        factors, ids = _merged(self.factors, other.factors, other.ids)
-        return KetSum.from_arrays(self.layout, np.concatenate([self.coeffs, other.coeffs]),
-                                  np.concatenate([self.ids, ids]), factors)
-
-    def tensor(self, other: "KetSum") -> "KetSum":
-        (n, w), (m, v) = self.ids.shape, other.ids.shape
-        ids = np.empty((n, m, w + v), dtype=np.int64)
-        ids[:, :, :w] = self.ids[:, None]
-        ids[:, :, w:] = other.ids
-        return KetSum.from_arrays(self.layout.merge(other.layout),
-                                  (self.coeffs[:, None] * other.coeffs).reshape(-1),
-                                  ids.reshape(n * m, w + v), self.factors + other.factors)
-
-    def canonicalized(self) -> "KetSum":
-        return KetSum.from_arrays(self.layout, *_canonical(self.coeffs, self.ids, self.factors))
-
     def braket(self, other: "KetSum", backend: Backend) -> complex:
         """<self|other>."""
         if other.layout.names != self.layout.names:
@@ -651,89 +673,59 @@ class KetSum:
         return self.outer(self)
 
     def outer(self, other: "KetSum") -> "TermSum":
-        """|self><other|."""
+        """|self><other|, terms i over self then j over other."""
         if other.layout.names != self.layout.names:
             raise ValueError("layout mismatch")
-        terms = [
-            (cl * cr.conjugate(), kl, kr)
-            for cl, kl in self.terms
-            for cr, kr in other.terms
-        ]
-        return TermSum(self.layout, terms)
+        return TermSum.from_pairs(self.layout, np.outer(self.coeffs, other.coeffs.conj()),
+                                  self.ids, other.ids, self.factors + other.factors)
 
 
-class TermSum:
-    """Operator: sum of weighted products of per-mode |L><R| factors."""
+class TermSum(_ProductSum):
+    """Operator: sum of weighted products of per-mode |L><R| factors.
 
-    __slots__ = ("layout", "terms")
+    Held as a KetSum is, over twice the columns: the first one per mode
+    holds the left (ket) factors, the second one the right (bra) factors.
+    """
 
-    def __init__(self, layout: ModeLayout, terms: Iterable):
-        self.layout = layout
-        self.terms = [
-            (complex(c), tuple(lefts), tuple(rights))
-            for c, lefts, rights in terms
-            if c != 0
-        ]
+    __slots__ = ()
+    _sides = 2
 
-    def scaled(self, z: complex) -> "TermSum":
-        return TermSum(self.layout, [(c * z, l, r) for c, l, r in self.terms])
+    @classmethod
+    def from_pairs(cls, layout: ModeLayout, weights: np.ndarray, kets: np.ndarray,
+                   bras: np.ndarray, factors) -> "TermSum":
+        """sum_ab weights[a, b] |kets[a]><bras[b]| over the nonzero weights, a-major.
 
-    def __add__(self, other: "TermSum") -> "TermSum":
-        if other.layout.names != self.layout.names:
-            raise ValueError("layout mismatch")
-        return TermSum(self.layout, self.terms + other.terms)
-
-    def tensor(self, other: "TermSum") -> "TermSum":
-        lay = self.layout.merge(other.layout)
-        terms = [
-            (c1 * c2, l1 + l2, r1 + r2)
-            for c1, l1, r1 in self.terms
-            for c2, l2, r2 in other.terms
-        ]
-        return TermSum(lay, terms)
+        kets and bras are rows of factor ids into the first and the second
+        half of factors, each of which holds distinct factors per mode.
+        """
+        a, b = np.nonzero(weights)
+        return cls.from_arrays(layout, weights[a, b], np.concatenate([kets[a], bras[b]], axis=1),
+                               factors)
 
     def adjoint(self) -> "TermSum":
-        return TermSum(
-            self.layout, [(c.conjugate(), r, l) for c, l, r in self.terms]
-        )
+        w = len(self.layout.names)
+        return TermSum.from_arrays(self.layout, self.coeffs.conj(),
+                                   np.concatenate([self.ids[:, w:], self.ids[:, :w]], axis=1),
+                                   self.factors[w:] + self.factors[:w])
 
-    def _columns(self) -> tuple:
-        """(coeffs, ids, factors) with the left factors as the first columns, the right ones after."""
-        ids, factors = _intern((l + r for _, l, r in self.terms), 2 * len(self.layout.names))
-        return np.array([c for c, _, _ in self.terms], dtype=complex), ids, factors
-
-    def _canonical_columns(self) -> tuple:
-        """(coeffs, ids, factors) of the canonical form: KetSum's, with the
-        right factors as bra columns."""
-        return _canonical(*self._columns(), bra_columns=len(self.layout.names))
-
-    def canonicalized(self) -> "TermSum":
-        width = len(self.layout.names)
-        coeffs, ids, factors = self._canonical_columns()
-        return TermSum(self.layout, [
-            (c, row[:width], row[width:])
-            for c, row in zip(coeffs.tolist(), _factor_rows(ids, factors))
-        ])
-
-    def _sides(self) -> tuple:
+    def _halves(self) -> tuple:
         """KetSums of the left products (with the coefficients) and of the right ones."""
-        width = len(self.layout.names)
-        coeffs, ids, factors = self._columns()
+        w = len(self.layout.names)
         return (
-            KetSum.from_arrays(self.layout, coeffs, ids[:, :width], factors[:width]),
-            KetSum.from_arrays(self.layout, np.ones(len(coeffs), dtype=complex),
-                               ids[:, width:], factors[width:]),
+            KetSum.from_arrays(self.layout, self.coeffs, self.ids[:, :w], self.factors[:w]),
+            KetSum.from_arrays(self.layout, np.ones(len(self.coeffs), dtype=complex),
+                               self.ids[:, w:], self.factors[w:]),
         )
 
     def trace(self, backend: Backend) -> complex:
         """sum_t c_t <R_t|L_t>."""
-        lefts, rights = self._sides()
+        lefts, rights = self._halves()
         lk, rk, sums = product_sums(lefts, rights, self.layout.names, (NO_PROJECTOR,), backend)
         return complex(np.sum(lefts.coeffs * sums[0][lk, rk]))
 
     def matrix_element(self, bra: KetSum, ket: KetSum, backend: Backend) -> complex:
         """<bra| self |ket>, as sum_t c_t <bra|L_t> <R_t|ket>."""
-        lefts, rights = self._sides()
+        lefts, rights = self._halves()
         left = term_overlaps(lefts, bra, backend) @ bra.coeffs.conj()
         right = ket.coeffs @ term_overlaps(ket, rights, backend)
         return complex(np.sum(lefts.coeffs * left * right))
@@ -849,22 +841,6 @@ def term_overlaps(ket: KetSum, bra: KetSum, backend: Backend) -> np.ndarray:
     return sums[0][ket_ids[:, None], bra_ids]
 
 
-@dataclass(frozen=True)
-class KeptProducts:
-    """The distinct kept-mode products: W[a, b] weighs |kets[a]><bras[b]|."""
-
-    layout: ModeLayout
-    kets: tuple
-    bras: tuple
-
-    def operator(self, weights: np.ndarray) -> TermSum:
-        terms = [
-            (weights[p, q], self.kets[p], self.bras[q])
-            for p, q in zip(*np.nonzero(np.abs(weights) > 1e-16))
-        ]
-        return TermSum(self.layout, terms)
-
-
 class Contraction:
     """Projected partial trace Tr_traced[P |ket><bra| P] of one ket pair, any P.
 
@@ -891,12 +867,10 @@ class Contraction:
         self.backend = backend
         self.traced = tuple(n for n in lay.names if n not in keep)
         idx = [lay.index(m) for m in keep]
-
-        def products(side):
-            return tuple(_factor_rows(side.tuples(keep)[0], [side.factors[i] for i in idx]))
-
-        kets = products(ket)
-        self.kept = KeptProducts(lay.subset(keep), kets, kets if bra is ket else products(bra))
+        # the distinct kept products, as rows of ket and bra factor ids
+        self.keep_layout = lay.subset(keep)
+        self.kept_kets, self.kept_bras = ket.tuples(keep)[0], bra.tuples(keep)[0]
+        self.kept_factors = tuple(ket.factors[i] for i in idx) + tuple(bra.factors[i] for i in idx)
         # Tr of |kept ket a><kept bra b|, and each term's kept product
         self.ket_kept, self.bra_kept, trace = product_sums(self.ket, self.bra, keep,
                                                            (NO_PROJECTOR,), backend)
@@ -908,7 +882,7 @@ class Contraction:
         A family is a sequence of projectors (outcomes) on one mode set, the
         families on disjoint modes; a bare ModeProjector is a family of one,
         a missing family (NO_PROJECTOR,).  prob[i, j] = Tr[P_i P'_j rho] and
-        W[i, j, a, b] weighs |kept.kets[a]><kept.bras[b]| in that output.
+        W[i, j, a, b] weighs |kept_kets[a]><kept_bras[b]| in that output.
         Each side's coefficients are summed onto (cell, environment tuple)
         pairs, a cell being a (kept product, folded tuple, batched tuple):
         A E B^dag, E the environment's plain-trace table, weighs every cell
@@ -942,9 +916,9 @@ class Contraction:
             np.add.at(a, (key * n_batch + batch_ids[s], env_ids[s]), side.coeffs)
             return np.flatnonzero(np.diff(key_codes // n_fold, prepend=-1)), key_codes % n_fold, a
 
-        ket_starts, ket_fold, a = ket_cells = cells(0, self.ket, self.ket_kept, len(self.kept.kets))
+        ket_starts, ket_fold, a = ket_cells = cells(0, self.ket, self.ket_kept, len(self.kept_kets))
         bra_starts, bra_fold, b = (ket_cells if self.bra is self.ket else
-                                   cells(1, self.bra, self.bra_kept, len(self.kept.bras)))
+                                   cells(1, self.bra, self.bra_kept, len(self.kept_bras)))
         pairs = (a @ plain[0] @ b.conj().T).reshape(len(ket_fold), batch.shape[1],
                                                     len(bra_fold), batch.shape[2])
         staged = np.einsum("ktlu,itu->ikl", pairs, batch)
@@ -956,15 +930,20 @@ class Contraction:
             w = w.swapaxes(0, 1)
         return np.einsum("ijab,ab->ij", w, self.keep_trace), w
 
+    def operator(self, weights: np.ndarray) -> TermSum:
+        """sum_ab weights[a, b] |kept_kets[a]><kept_bras[b]| on the kept modes."""
+        return TermSum.from_pairs(self.keep_layout, weights, self.kept_kets, self.kept_bras,
+                                  self.kept_factors)
+
     def outcome(self, *projectors: ModeProjector) -> tuple:
         """(Tr[P rho], unnormalized TermSum on the kept modes), as weights()."""
         prob, weights = self.weights(*projectors)
-        return complex(prob[0, 0]), self.kept.operator(weights[0, 0])
+        return complex(prob[0, 0]), self.operator(weights[0, 0])
 
     def kept_overlaps(self, kets) -> tuple:
-        """(A, B) with A[p, a] = <kets[p]|kept.kets[a]>, B[b, q] = <kept.bras[b]|kets[q]>.
+        """(A, B) with A[p, a] = <kets[p]|kept ket a>, B[b, q] = <kept bra b|kets[q]>.
 
-        kets are KetSums on the kept modes: <kets[p]|kept.operator(W)|kets[q]>
+        kets are KetSums on the kept modes: <kets[p]|operator(W)|kets[q]>
         is then (A @ W @ B)[p, q] for every W from weights().
         """
         reads = reduce(KetSum.__add__, kets)
@@ -973,7 +952,7 @@ class Contraction:
         mix = np.eye(len(kets))[owner].T * reads.coeffs
 
         def brakets(side):
-            # rows of S are side's distinct kept tuples: the order of kept.kets/bras
+            # rows of S are side's distinct kept tuples: the order of kept_kets/kept_bras
             _, ids, sums = product_sums(side, reads, reads.layout.names, (NO_PROJECTOR,),
                                         self.backend)
             return mix.conj() @ sums[0][:, ids].T
@@ -991,7 +970,7 @@ def gram_eigvals(state: TermSum, backend: Backend) -> np.ndarray:
     ones have already been merged.
     """
     lay, width = state.layout, len(state.layout.names)
-    coeffs, ids, factors = state._canonical_columns()
+    coeffs, ids, factors = _canonical(state.coeffs, state.ids, state.factors, bra_columns=width)
     if not len(coeffs):
         return np.zeros(0)
     # one table per mode for left and right factors; products alternate left, right per term

@@ -58,12 +58,6 @@ class LossParameter:
     def t(self) -> float:
         return math.sqrt(1.0 - self.r * self.r)
 
-    @classmethod
-    def from_t(cls, t: float) -> "LossParameter":
-        if not 0.0 < t <= 1.0:
-            raise ValueError(f"transmission t must lie in (0, 1], got {t}")
-        return cls(math.sqrt(max(0.0, 1.0 - t * t)))
-
 
 def dilate(state: KetSum, names, loss: LossParameter) -> KetSum:
     """Loss on the named modes of a ket, kept pure on a larger layout.

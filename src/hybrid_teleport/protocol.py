@@ -34,7 +34,6 @@ from .engine import (
     COHERENT_ALGEBRA,
     Backend,
     Contraction,
-    KeptProducts,
     KetSum,
     ModeLayout,
     Role,
@@ -114,7 +113,8 @@ DEFAULT_QUADRATURE = SphereQuadrature()
 
 # the reference mode of the Choi state: |x>_R marks the logical input |x_L>
 R_LAYOUT = ModeLayout(("R",), (2,), (Role.PHOTONIC,))
-R_KETS = tuple(KetSum(R_LAYOUT, [(1.0, (fock(x),))]) for x in (0, 1))
+R_FACTORS = (fock(0), fock(1))
+R_KETS = tuple(KetSum(R_LAYOUT, [(1.0, (k,))]) for k in R_FACTORS)
 
 
 @lru_cache(maxsize=64)
@@ -149,24 +149,28 @@ class OutcomeTensors:
     """Basis-pair-resolved data for one joint outcome, in the logical basis.
 
     prob[x, y] is the unnormalized weight of the outcome for the input
-    operator |x_L><y_L|; kept maps every (x, y) to the (KeptProducts, W)
-    of the uncorrected (still unnormalized) receiver operator rho_xy, and
-    states, built on first access, maps every (x, y) to rho_xy; fid[x, y,
-    p, q] is <p_L| C rho_xy C^dag |q_L> for the outcome's correction C.
+    operator |x_L><y_L|, rho_xy the uncorrected (still unnormalized)
+    receiver operator, and fid[x, y, p, q] = <p_L| C rho_xy C^dag |q_L>
+    for the outcome's correction C.  choi = (W, x, Bob's layout, id rows,
+    factor tables) holds the outcome's Choi-level kept-mode weights W[a, b]
+    and, per kept product a = |x[a]>_R |Bob product a>, its R value and
+    Bob's factor ids: state(w) reads any mix of the rho_xy from them.
     Failure outcomes carry probabilities only.  The arrays are read-only.
     """
 
     label: OutcomeLabel
     correction: str
     prob: np.ndarray
-    kept: dict
     fid: np.ndarray
+    choi: tuple = field(repr=False)
 
-    @cached_property
-    def states(self) -> dict:
-        if self.kept is None:
+    def state(self, w: np.ndarray) -> TermSum:
+        """sum_xy w[x, y] rho_xy on Bob's modes; None for a failure outcome."""
+        if self.choi is None:
             return None
-        return {xy: products.operator(w) for xy, (products, w) in self.kept.items()}
+        weights, r_value, bob, products, tables = self.choi
+        return TermSum.from_pairs(bob, weights * w[r_value[:, None], r_value], products,
+                                  products, tables + tables)
 
 
 @lru_cache(maxsize=256)
@@ -200,14 +204,15 @@ def outcome_tensors(
     weights = weights.reshape(len(labels), *weights.shape[2:])
     # (left W right)[(x, p), (y, q)] = <x|_R <p_L| rho |y>_R |q_L>
     logical = (left @ weights @ right).reshape(len(labels), 2, 2, 2, 2).swapaxes(2, 3)
-    # a kept product is |x>_R times a Bob product: rho_xy is the R-block (x, y) of W
-    kets = contraction.kept.kets
-    in_block = np.array([[k[0] == fock(x) for k in kets] for x in (0, 1)], dtype=float)
-    rows = [np.flatnonzero(mask) for mask in in_block]
-    products = [tuple(kets[a][1:] for a in block) for block in rows]
-    blocks = {(x, y): (KeptProducts(bob, products[x], products[y]), np.ix_(rows[x], rows[y]))
-              for x in (0, 1) for y in (0, 1)}
-    bobs = KetSum(bob, [(1.0, k[1:]) for k in kets])
+    # the Choi state meets itself, so the kept kets and bras are the same
+    # products; each is |x>_R times a Bob product, and rho_xy is the R-block
+    # (x, y) of W: read with R's column dropped
+    width = len(contraction.keep_layout.names)
+    products = contraction.kept_kets
+    r_value = np.array([R_FACTORS.index(k) for k in contraction.kept_factors[0]])[products[:, 0]]
+    bob_rows, bob_tables = products[:, 1:], contraction.kept_factors[1:width]
+    in_block = (r_value == np.arange(2)[:, None]).astype(float)
+    bobs = KetSum.from_arrays(bob, np.ones(len(products), dtype=complex), bob_rows, bob_tables)
     prob = in_block @ (weights * term_overlaps(bobs, bobs, backend)) @ in_block.T
     prob.setflags(write=False)
 
@@ -218,9 +223,11 @@ def outcome_tensors(
             continue
         u = LOGICAL_PAULI[correction]
         fid = np.einsum("pr,xyrs,qs->xypq", u, logical[n], u.conj())
-        fid.setflags(write=False)
-        kept = {xy: (pair, weights[n][cells]) for xy, (pair, cells) in blocks.items()}
-        out.append(OutcomeTensors(label, correction, prob[n], kept, fid))
+        w_n = weights[n].copy()  # a copy, so that the other outcomes' weights are freed
+        for arr in (fid, w_n):
+            arr.setflags(write=False)
+        out.append(OutcomeTensors(label, correction, prob[n], fid,
+                                  (w_n, r_value, bob, bob_rows, bob_tables)))
     return tuple(out)
 
 
@@ -245,14 +252,7 @@ class OutcomeRecord:
         if self.fidelity is None:
             return None
         hybrid, data, w = self.source
-        rho = TermSum(
-            data.states[0, 0].layout,
-            [
-                (w[xy] / self.probability * c, l, r)
-                for xy, ts in data.states.items()
-                for c, l, r in ts.terms
-            ],
-        )
+        rho = data.state(w / self.probability)
         return apply_correction(rho, hybrid, data.correction).canonicalized()
 
 

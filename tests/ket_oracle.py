@@ -4,17 +4,20 @@ States here are plain term lists, (c, kets) for kets and (c, lefts, rights)
 for operators, and every operation is a loop over terms: the engine's form
 before sums became factor-id arrays.  The array-backed engine must
 reproduce these term for term.  The beam splitter rotates each photon-number
-sector on its own, independently of the engine's batched rotation.
+sector on its own, independently of the engine's batched rotation.  The
+Pauli corrections are dense matrices.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 
 from hybrid_teleport.encoding import (
     DynamicBasis,
+    HybridType,
     coherent_mode,
     logical_ket,
     photonic_modes,
@@ -167,3 +170,27 @@ def protocol_state_terms(hybrid, alpha: float, r: float) -> list:
         psi = beam_splitter_terms(psi_lay, psi, "A", "B")
         out.append(canonical_terms(psi))
     return out
+
+
+def dense_correction(hybrid, pauli, layout) -> np.ndarray:
+    """Dense Pauli correction on one qubit's modes (oracle).
+
+    X: photon-number parity on the coherent mode and on the V rail (type I)
+    or the photonic mode (type II).  Z: the H <-> V swap (type I) or the
+    0 <-> 1 swap (type II) as a permutation.  XZ applies Z first.
+    """
+    dims = [cut + 1 for cut in layout.cutoffs]
+    parity = [np.diag((-1.0) ** np.arange(d)) for d in dims]
+    eye = [np.eye(d) for d in dims]
+    if hybrid is HybridType.TYPE_I:
+        dh, dv, _ = dims
+        swap = np.zeros((dh * dv, dh * dv))
+        for i, j in itertools.product(range(dh), range(dv)):
+            swap[j * dv + i, i * dv + j] = 1.0
+        x = np.kron(np.kron(eye[0], parity[1]), parity[2])
+        z = np.kron(swap, eye[2])
+    else:
+        order = [1, 0] + list(range(2, dims[0]))
+        x = np.kron(parity[0], parity[1])
+        z = np.kron(eye[0][order], eye[1])
+    return {"I": np.eye(len(x)), "X": x, "Z": z, "XZ": x @ z}[pauli]

@@ -26,7 +26,6 @@ from hybrid_teleport.encoding import (
 from hybrid_teleport.engine import (
     NO_PROJECTOR,
     Contraction,
-    KeptProducts,
     ModeProjector,
     _first_seen,
     apply_beam_splitter,
@@ -80,9 +79,9 @@ def dense_weights(contraction: Contraction, *families) -> tuple:
         first, cells = _first_seen(kept * n_fold + ids, n_kept * n_fold)
         return np.stack([kept[first], ids[first]], axis=1), cells
 
-    ket_keys, ket_cells = keyed(contraction.ket_kept, fold_k, len(contraction.kept.kets),
+    ket_keys, ket_cells = keyed(contraction.ket_kept, fold_k, len(contraction.kept_kets),
                                 fold.shape[1])
-    bra_keys, bra_cells = keyed(contraction.bra_kept, fold_b, len(contraction.kept.bras),
+    bra_keys, bra_cells = keyed(contraction.bra_kept, fold_b, len(contraction.kept_bras),
                                 fold.shape[2])
     _, tk, tb = batch.shape
     rows = np.eye(len(ket_keys) * tk)[ket_cells * tk + batch_k]
@@ -90,15 +89,15 @@ def dense_weights(contraction: Contraction, *families) -> tuple:
     pairs = (rows.T @ q @ cols).reshape(len(ket_keys), tk, len(bra_keys), tb)
     staged = np.einsum("ktlu,itu->ikl", pairs, batch)
     folded = staged[:, None] * fold[:, ket_keys[:, 1]][:, :, bra_keys[:, 1]]
-    w = np.eye(len(contraction.kept.kets))[ket_keys[:, 0]].T @ folded
-    w = w @ np.eye(len(contraction.kept.bras))[bra_keys[:, 0]]
+    w = np.eye(len(contraction.kept_kets))[ket_keys[:, 0]].T @ folded
+    w = w @ np.eye(len(contraction.kept_bras))[bra_keys[:, 0]]
     if swap:
         w = w.swapaxes(0, 1)
     return np.einsum("ijab,ab->ij", w, contraction.keep_trace), w
 
 
 def outcome_tensors(hybrid, alpha: float, r: float, backend) -> list:
-    """Per joint outcome (prob, fid, kept): kept maps every (x, y) to (KeptProducts, W)."""
+    """Per joint outcome (prob, fid, states): states maps every (x, y) to rho_xy."""
     labels = enumerate_outcomes(hybrid)
     families = (
         [projector(ProjectorSpec(s_family(hybrid), s)) for s in S_OUTCOME_ORDER],
@@ -109,7 +108,7 @@ def outcome_tensors(hybrid, alpha: float, r: float, backend) -> list:
     states = protocol_states(hybrid, alpha, r)
     prob = np.zeros((len(labels), 2, 2), dtype=complex)
     logical = np.zeros((len(labels), 2, 2, 2, 2), dtype=complex)
-    kept = [{} for _ in labels]
+    rhos = [{} for _ in labels]
     for x, y in ((0, 0), (0, 1), (1, 1)):
         contraction = Contraction(states[x], states[y], bob_kets[0].layout.names, backend)
         left, right = contraction.kept_overlaps(bob_kets)
@@ -118,7 +117,7 @@ def outcome_tensors(hybrid, alpha: float, r: float, backend) -> list:
         weights = weights.reshape(len(labels), *weights.shape[2:])
         logical[:, x, y] = left @ weights @ right
         for n, w in enumerate(weights):
-            kept[n][x, y] = contraction.kept, w
+            rhos[n][x, y] = contraction.operator(w)
     # rho_10 = rho_01^dag
     prob[:, 1, 0] = prob[:, 0, 1].conj()
     logical[:, 1, 0] = logical[:, 0, 1].conj().swapaxes(-1, -2)
@@ -130,7 +129,6 @@ def outcome_tensors(hybrid, alpha: float, r: float, backend) -> list:
             continue
         u = LOGICAL_PAULI[correction]
         fid = np.einsum("pr,xyrs,qs->xypq", u, logical[n], u.conj())
-        products, w = kept[n][0, 1]
-        kept[n][1, 0] = KeptProducts(products.layout, products.bras, products.kets), w.conj().T
-        out.append((prob[n], fid, kept[n]))
+        rhos[n][1, 0] = rhos[n][0, 1].adjoint()
+        out.append((prob[n], fid, rhos[n]))
     return out

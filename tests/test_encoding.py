@@ -41,6 +41,8 @@ from hybrid_teleport.engine import (
 )
 from hybrid_teleport.loss import LossParameter
 
+from ket_oracle import dense_correction
+
 HYBRIDS = (HybridType.TYPE_I, HybridType.TYPE_II)
 
 angle_values = st.floats(0.0, math.pi)
@@ -214,30 +216,6 @@ def dense_operator(state) -> np.ndarray:
         return out
 
     return sum(c * np.outer(vec(l), vec(r).conj()) for c, l, r in state.terms)
-
-
-def dense_correction(hybrid, pauli, layout) -> np.ndarray:
-    """Dense Pauli correction on one qubit's modes (oracle).
-
-    X: photon-number parity on the coherent mode and on the V rail (type I)
-    or the photonic mode (type II).  Z: the H <-> V swap (type I) or the
-    0 <-> 1 swap (type II) as a permutation.  XZ applies Z first.
-    """
-    dims = [cut + 1 for cut in layout.cutoffs]
-    parity = [np.diag((-1.0) ** np.arange(d)) for d in dims]
-    eye = [np.eye(d) for d in dims]
-    if hybrid is HybridType.TYPE_I:
-        dh, dv, _ = dims
-        swap = np.zeros((dh * dv, dh * dv))
-        for i, j in itertools.product(range(dh), range(dv)):
-            swap[j * dv + i, i * dv + j] = 1.0
-        x = np.kron(np.kron(eye[0], parity[1]), parity[2])
-        z = np.kron(swap, eye[2])
-    else:
-        order = [1, 0] + list(range(2, dims[0]))
-        x = np.kron(parity[0], parity[1])
-        z = np.kron(eye[0][order], eye[1])
-    return {"I": np.eye(len(x)), "X": x, "Z": z, "XZ": x @ z}[pauli]
 
 
 class TestCorrectionOracles:

@@ -557,7 +557,7 @@ class TestContraction:
             swapped = contraction.weights(*families[::-1])
             assert np.allclose(swapped[0], probs.T, rtol=0.0, atol=1e-14)
             assert np.allclose(swapped[1], weights.swapaxes(0, 1), rtol=0.0, atol=1e-14)
-        kept = contraction.kept.layout
+        kept = contraction.keep_layout
         reads = [
             KetSum(kept, [(0.6, (fock(0),)), (0.8j, (FockVector((0.0, 2.0)),))]),
             KetSum(kept, [(1.0, (FockVector((0.3, -0.4)),))]),

@@ -211,7 +211,7 @@ class TestGroups:
         # must equal the closed-form fidelity
         alpha, t = 1.0, math.sqrt(1.0 - 0.36)
         state = formulas.group_state(i, alpha, t, ANGLES)
-        basis = DynamicBasis(alpha, LossParameter.from_t(t))
+        basis = DynamicBasis(alpha, LossParameter(math.sqrt(1 - t * t)))
         phi = logical_ket(HybridType.TYPE_II, 0, basis).scaled(ANGLES.mu) + logical_ket(
             HybridType.TYPE_II, 1, basis
         ).scaled(ANGLES.nu)

@@ -1,21 +1,22 @@
-"""The factor-id array form of KetSum against term-list oracles.
+"""The factor-id array form of KetSum and TermSum against term-list oracles.
 
 Each R-block of the protocol's Choi state must match the tuple-based
-reference pipeline in ket_oracle term for term, and random small sums must agree with dense
+reference pipeline in ket_oracle term for term, random small sums must agree with dense
 truncated-Fock vectors through tensor products, beam splitters and
-canonicalization.
+canonicalization, and random operators with dense matrices through outer
+products, tensor products, adjoints, sums, scaling and Pauli corrections.
 """
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from hybrid_teleport import protocol
-from hybrid_teleport.encoding import HybridType
+from hybrid_teleport.encoding import HybridType, apply_correction, qubit_layout
 from hybrid_teleport.engine import (
     DROP_TOL,
     Coherent,
@@ -30,7 +31,12 @@ from hybrid_teleport.engine import (
     normalize_ket,
 )
 
-from ket_oracle import beam_splitter_terms, canonical_terms, protocol_state_terms
+from ket_oracle import (
+    beam_splitter_terms,
+    canonical_terms,
+    dense_correction,
+    protocol_state_terms,
+)
 
 PROBES = [(1.0, 0.0), (1.0, 0.3), (2.0, 0.6), (1.0, 0.9), (22.42, 0.22), (5.0, 0.98)]
 
@@ -171,6 +177,11 @@ def test_near_equal_terms_merge_and_small_ones_drop():
 
 
 @given(st.lists(term, min_size=1, max_size=4))
+# numpy's and Python's complex products differ by an ulp: 1.26e-15 on 7.36+3.68j here
+@example([((-0.75 - 0.75j), (FockVector((-0.75 + 0.5j, -0.75 - 0.75j)),
+                             FockVector((-0.75 - 0.75j,) * 3),
+                             Coherent(complex(-0.5, -0.5) * 0.3),
+                             Coherent(complex(-0.5, -0.5) * 0.3)))])
 @settings(max_examples=20, deadline=None)
 def test_operator_canonical_form_matches_term_lists(terms):
     # TermSum.canonicalized shares KetSum's routine: right factors are bra columns
@@ -180,6 +191,66 @@ def test_operator_canonical_form_matches_term_lists(terms):
     want = canonical_terms(op.terms)
     assert len(canon.terms) == len(want)
     for (c, l, r), (c_ref, l_ref, r_ref) in zip(canon.terms, want):
-        assert abs(c - c_ref) <= 1e-15
+        assert abs(c - c_ref) <= 1e-15 * max(1.0, abs(c_ref))
         assert l == l_ref and r == r_ref
     assert isinstance(canon, TermSum)
+
+
+# ---------------------------------------------------------------------------
+# random operators against dense matrices
+
+def dense_operator(op: TermSum) -> np.ndarray:
+    """Dense truncated-Fock matrix of an operator, built from its term list."""
+    cuts = op.layout.cutoffs
+
+    def vec(kets):
+        out = np.ones(1, dtype=complex)
+        for k, cut in zip(kets, cuts):
+            out = np.kron(out, ket_vector(k, cut))
+        return out
+
+    dim = math.prod(c + 1 for c in cuts)
+    return sum((c * np.outer(vec(l), vec(r).conj()) for c, l, r in op.terms),
+               np.zeros((dim, dim), dtype=complex))
+
+
+def qubit_terms(hybrid):
+    """Terms on one qubit's modes: Fock factors on the photonic ones, a coherent one last."""
+    n_phot = 2 if hybrid is HybridType.TYPE_I else 1
+    factors = st.tuples(*[fock_factor] * n_phot, coherent_factor)
+    return st.lists(st.tuples(complex_grid.filter(lambda c: c != 0), factors),
+                    min_size=1, max_size=3)
+
+
+EXTRA = ModeLayout(("e",), (2,), (Role.PHOTONIC,))
+
+
+@pytest.mark.parametrize("hybrid", [HybridType.TYPE_I, HybridType.TYPE_II])
+@given(data=st.data())
+@settings(max_examples=15, deadline=None)
+def test_random_operators_match_dense(hybrid, data):
+    lay = qubit_layout(hybrid, "c", 0.0)
+    psi, phi = (KetSum(lay, data.draw(qubit_terms(hybrid))) for _ in range(2))
+    vpsi, vphi = dense(psi), dense(phi)
+    z = data.draw(complex_grid.filter(lambda c: c != 0))
+
+    op = psi.outer(phi) + phi.dm().scaled(z)
+    want = np.outer(vpsi, vphi.conj()) + z * np.outer(vphi, vphi.conj())
+    assert np.allclose(dense_operator(op), want, rtol=0.0, atol=1e-13)
+    assert np.allclose(dense_operator(op.adjoint()), want.conj().T, rtol=0.0, atol=1e-13)
+
+    chi = KetSum(EXTRA, [(0.6, (fock(0),)), (0.8j, (fock(1),)), (0.5, (FockVector((0.6, 0.0, 0.8)),))])
+    vchi = dense(chi)
+    extra = chi.outer(chi.scaled(1j)) + chi.dm()
+    dense_extra = (1 - 1j) * np.outer(vchi, vchi.conj())
+    assert np.allclose(dense_operator(op.tensor(extra)), np.kron(want, dense_extra), rtol=0.0, atol=1e-13)
+    assert np.allclose(dense_operator(extra.tensor(op)), np.kron(dense_extra, want), rtol=0.0, atol=1e-13)
+    for pauli in ("I", "X", "Z", "XZ"):
+        c = dense_correction(hybrid, pauli, lay)
+        got = dense_operator(apply_correction(op, hybrid, pauli))
+        assert np.allclose(got, c @ want @ c.conj().T, rtol=0.0, atol=1e-13)
+
+    # the arrays and the term list describe one operator
+    again = TermSum.from_arrays(op.layout, op.coeffs, op.ids, op.factors)
+    assert again.terms == op.terms
+    assert TermSum(op.layout, op.terms).terms == op.terms

@@ -68,12 +68,6 @@ class TestLossParameter:
         with pytest.raises(ValueError):
             LossParameter(-0.1)
 
-    def test_from_t_round_trip(self):
-        p = LossParameter.from_t(0.8)
-        assert math.isclose(p.r, 0.6, rel_tol=1e-15)
-        with pytest.raises(ValueError):
-            LossParameter.from_t(0.0)
-
     @given(st.floats(0.0, 0.999))
     def test_pythagorean(self, r):
         p = LossParameter(r)

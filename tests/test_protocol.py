@@ -14,6 +14,7 @@ from hybrid_teleport.encoding import (
     BlochAngles,
     DynamicBasis,
     HybridType,
+    input_state,
     logical_ket,
 )
 from hybrid_teleport.engine import (
@@ -38,6 +39,8 @@ import protocol_oracle
 
 ANGLES = BlochAngles(1.1, 2.3)
 HYBRIDS = (HybridType.TYPE_I, HybridType.TYPE_II)
+# input weights w[x, y] that pick one basis pair: state(w) is rho_xy
+UNIT_WEIGHTS = {(x, y): np.outer(np.eye(2)[x], np.eye(2)[y]) for x in (0, 1) for y in (0, 1)}
 
 
 class TestSphereQuadrature:
@@ -153,6 +156,25 @@ class TestLossyInvariants:
             tr = e.state.trace(COHERENT_ALGEBRA)
             assert math.isclose(tr.real, 1.0, abs_tol=1e-9), e.label
             assert trace_distance(e.state, e.state.adjoint(), COHERENT_ALGEBRA) < 1e-9
+
+    @pytest.mark.parametrize("hybrid, alpha, r, outcome", [
+        (HybridType.TYPE_II, 3.6, 0.02, ("1", "e")),
+        (HybridType.TYPE_I, 1.0, 0.4, ("1", "1")),
+    ])
+    def test_states_keep_every_weight(self, hybrid, alpha, r, outcome):
+        # type II at (3.6, 0.02) gives ("1", "e") p = 1.4e-12, just above
+        # PROB_FLOOR: its state keeps weights far below any absolute cut, so
+        # it is normalized and its overlap with the input is the fidelity
+        loss = LossParameter(r)
+        report = teleport_once(hybrid, alpha, loss, ANGLES)
+        psi = input_state(hybrid, ANGLES, DynamicBasis(alpha, loss), "c")
+        assert report.entry(*outcome).fidelity is not None
+        for e in report.entries:
+            if e.fidelity is None:
+                continue
+            assert abs(e.state.trace(COHERENT_ALGEBRA) - 1.0) <= 1e-12, e.label
+            fid = e.state.matrix_element(psi, psi, COHERENT_ALGEBRA)
+            assert abs(fid - e.fidelity) <= 1e-12, e.label
 
     def test_report_entry_lookup(self):
         report = teleport_once(HybridType.TYPE_II, 1.0, LossParameter(0.2), ANGLES)
@@ -282,7 +304,8 @@ class TestLogicalRead:
             if data.correction == FAIL:
                 continue
             u = LOGICAL_PAULI[data.correction]
-            for (x, y), rho in data.states.items():
+            for (x, y), e_xy in UNIT_WEIGHTS.items():
+                rho = data.state(e_xy)
                 logical = np.array(
                     [[rho.matrix_element(bra, ket, backend) for ket in kets] for bra in kets]
                 )
@@ -309,18 +332,24 @@ class TestChoiContraction:
         ids=lambda v: getattr(v, "kind", getattr(v, "value", str(v))))
     def test_matches_three_contraction_oracle(self, hybrid, backend, alpha, r):
         # the Choi contraction against one contraction per basis pair, with
-        # the dense terms x terms Q, and the pair (1, 0) by conjugation
+        # the dense terms x terms Q, and the pair (1, 0) as the adjoint of (0, 1)
         want = protocol_oracle.outcome_tensors(hybrid, alpha, r, backend)
-        for data, (prob, fid, kept) in zip(outcome_tensors(hybrid, alpha, r, backend), want):
+        for data, (prob, fid, rhos) in zip(outcome_tensors(hybrid, alpha, r, backend), want):
             assert np.max(np.abs(data.prob - prob)) <= 1e-15
             if fid is None:
-                assert data.fid is None and data.kept is None
+                assert data.fid is None and data.state(UNIT_WEIGHTS[0, 0]) is None
                 continue
             assert np.max(np.abs(data.fid - fid)) <= 1e-15
-            assert data.kept.keys() == kept.keys()
-            for xy, (products, w) in kept.items():
-                assert data.kept[xy][0] == products
-                assert np.max(np.abs(data.kept[xy][1] - w), initial=0.0) <= 1e-15
+            assert rhos.keys() == UNIT_WEIGHTS.keys()
+            for xy, rho in rhos.items():
+                # per product pair (exactly equal factors), coefficients within
+                # 1e-15; a pair one side lacks has coefficient 0 there
+                terms = data.state(UNIT_WEIGHTS[xy]).terms
+                got = {(l, r): c for c, l, r in terms}
+                ref = {(l, r): c for c, l, r in rho.terms}
+                assert len(got) == len(terms)
+                assert max((abs(got.get(k, 0.0) - ref.get(k, 0.0)) for k in got.keys() | ref.keys()),
+                           default=0.0) <= 1e-15
 
     @pytest.mark.parametrize("hybrid", HYBRIDS)
     def test_one_contraction_and_weights_call_per_point(self, hybrid, monkeypatch):
