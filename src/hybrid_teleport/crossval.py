@@ -31,7 +31,6 @@ from .engine import (
 )
 from .loss import LossParameter, damp_mode, damp_modes, decohered_channel, dilate
 from .protocol import (
-    DEFAULT_QUADRATURE,
     SphereQuadrature,
     average_fidelity,
     average_success,
@@ -199,10 +198,11 @@ def check_group_sum_identity(
 def check_closed_vs_simulated(
     alphas=(1.0, 2.0),
     rs=tuple(round(0.1 * k, 1) for k in range(10)),
-    quad: SphereQuadrature = DEFAULT_QUADRATURE,
+    quad: SphereQuadrature | None = None,
     tolerance: float = 1e-6,
 ) -> CheckResult:
-    """Averaged fidelity and success: closed forms (rule quad) vs the exact protocol engine."""
+    """Averaged fidelity and success: closed forms (exact unless a rule is
+    given) vs the exact protocol engine."""
     worst = 0.0
     for alpha in alphas:
         for r in rs:

@@ -499,12 +499,18 @@ def _factor_rows(ids: np.ndarray, factors: tuple) -> list:
 
 
 def _merged(tables: tuple, others: tuple, ids: np.ndarray) -> tuple:
-    """(tables extended by the new factors of others, ids into others re-pointed into them)."""
+    """(tables extended by the new factors of others, ids into others re-pointed into them).
+
+    New factors go after the whole table, so a factor a table holds twice
+    keeps both places and every id into it stays valid.
+    """
     merged, remap = [], []
     for mine, theirs in zip(tables, others):
-        index = {k: n for n, k in enumerate(mine)}
-        remap += [index.setdefault(k, len(index)) for k in theirs]
-        merged.append(tuple(index))
+        index = dict(zip(mine, range(len(mine))))
+        new = [k for k in dict.fromkeys(theirs) if k not in index]
+        index.update(zip(new, range(len(mine), len(mine) + len(new))))
+        remap += [index[k] for k in theirs]
+        merged.append(tuple(mine) + tuple(new))
     offsets = np.array(list(accumulate(map(len, others[:-1]), initial=0)), dtype=np.int64)
     return tuple(merged), np.array(remap, dtype=np.int64)[ids + offsets]
 

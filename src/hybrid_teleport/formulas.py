@@ -6,7 +6,10 @@ first-principles protocol engine.  For the single-photon-encoded type the
 success outcomes fall into five groups whose members share one conditional
 state; group probabilities and fidelities are scalar functions of the
 loss, the coherent amplitude, and (for the group heralded by a dark
-coherent-comparison port) the input angles.
+coherent-comparison port) the input angles.  The type-II Bloch-sphere
+average of their success-weighted fidelity is exact: one integral in the
+height along the axis of the success probability
+(`protocol.axial_average`, which the protocol engine's averages use too).
 """
 
 from __future__ import annotations
@@ -14,11 +17,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .encoding import BlochAngles, HybridType, _plus_minus, qubit_layout
 from .engine import VACUUM, Coherent, FockVector, TermSum
 from .loss import pm_block
 from .measurement import OutcomeLabel
-from .protocol import DEFAULT_QUADRATURE, SphereQuadrature
+from .protocol import DEFAULT_QUADRATURE, SphereQuadrature, axial_average
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -46,16 +51,20 @@ def average_fidelity(
     hybrid: HybridType,
     alpha: float,
     t: float,
-    quad: SphereQuadrature = DEFAULT_QUADRATURE,
+    quad: SphereQuadrature | None = None,
 ) -> float:
     """Sphere-averaged conditional fidelity from the closed forms.
 
     The dual-rail type has a fully closed expression; the single-photon
-    type is integrated numerically from the outcome-group formulas.
+    type averages the outcome-group formulas over the sphere, exactly, or
+    on the nodes of the rule quad if one is given.
     """
     if hybrid is HybridType.TYPE_I:
         return (t * t / 3.0) * (2.0 + cross_dephasing(alpha, t))
-    return average_fidelity_quadrature(alpha, t, quad)
+    if quad is not None:
+        return average_fidelity_quadrature(alpha, t, quad)
+    (a, beta, _), c = _axial_coefficients(alpha, t)
+    return axial_average(a, beta, c)
 
 
 @dataclass(frozen=True)
@@ -231,29 +240,54 @@ def uniform_teleported_state(alpha: float, t: float, angles: BlochAngles) -> Ter
     return TermSum(lay, terms).canonicalized()
 
 
+def _group_sums(alpha: float, t: float, angles: BlochAngles) -> tuple:
+    """(sum_i p_i, sum_i p_i f_i) over the five outcome groups for one input."""
+    num = 0.0
+    den = 0.0
+    for i in range(1, 6):
+        p = group_probability(i, alpha, t, angles)
+        num += p * group_fidelity(i, alpha, t, angles)
+        den += p
+    return den, num
+
+
 def average_fidelity_quadrature(
     alpha: float, t: float, quad: SphereQuadrature = DEFAULT_QUADRATURE
 ) -> float:
     """Sphere average of the per-input success-weighted fidelity ratio."""
     total = 0.0
     for u, v, w in quad.nodes():
-        ang = BlochAngles(u, v)
-        num = 0.0
-        den = 0.0
-        for i in range(1, 6):
-            p = group_probability(i, alpha, t, ang)
-            num += p * group_fidelity(i, alpha, t, ang)
-            den += p
+        den, num = _group_sums(alpha, t, BlochAngles(u, v))
         total += w * num / den
     return total
 
 
-def group_sum_deviation(
-    alpha: float, t: float, quad: SphereQuadrature = DEFAULT_QUADRATURE
-) -> float:
-    """|sphere average of the summed group probabilities - closed form|."""
-    avg = 0.0
-    for u, v, w in quad.nodes():
-        ang = BlochAngles(u, v)
-        avg += w * sum(group_probability(i, alpha, t, ang) for i in range(1, 6))
-    return abs(avg - success_probability(HybridType.TYPE_II, alpha, t))
+# Bloch inputs by height z along -x, the direction in which the success
+# probability grows: n = +x at z = -1; +z and (0, +-sqrt(3)/2, -1/2), equally
+# spaced on the circle x = 0, at z = 0; n = -x at z = 1
+_AXIAL_INPUTS = (
+    (BlochAngles(0.5 * math.pi, 0.0),),
+    (BlochAngles(0.0, 0.0), BlochAngles(2.0 * math.pi / 3.0, 0.5 * math.pi),
+     BlochAngles(2.0 * math.pi / 3.0, -0.5 * math.pi)),
+    (BlochAngles(0.5 * math.pi, math.pi),),
+)
+
+
+def _axial_coefficients(alpha: float, t: float) -> np.ndarray:
+    """Rows (c0, c1, c2) for sum_i p_i and sum_i p_i f_i: each averages to
+    c0 + c1 z + c2 z^2 over the Bloch circle at height z along -x.
+
+    Both sums are polynomials of degree <= 2 in the Bloch vector n (in
+    p_5 f_5 group 5's normalizer cancels), so three equally spaced inputs
+    average them exactly over a circle, and three heights fix the quadratic
+    in z.  The probability sum is a + beta z, so its row reads (a, beta, 0).
+    """
+    low, mid, high = (np.mean([_group_sums(alpha, t, ang) for ang in circle], axis=0)
+                      for circle in _AXIAL_INPUTS)
+    return np.array([mid, 0.5 * (high - low), 0.5 * (high + low) - mid]).T
+
+
+def group_sum_deviation(alpha: float, t: float) -> float:
+    """|sphere average of the summed group probabilities - closed form|, exact."""
+    p, _ = _axial_coefficients(alpha, t)
+    return abs(axial_average(1.0, 0.0, p) - success_probability(HybridType.TYPE_II, alpha, t))

@@ -346,8 +346,7 @@ def _sphere_average(p_sum: np.ndarray, f_sum: np.ndarray) -> float:
 
     P = a + b . n and N = (1, n) S (1, n)^T are affine and quadratic in n.
     At height z along b, uniform on [-1, 1], N averages to c0 + c1 z + c2 z^2,
-    so the average is (1/2) int (c0 + c1 z + c2 z^2) / (a + |b| z) dz: a
-    series in eps = |b| / a below 1/2, through atanh(eps) above.
+    which axial_average integrates.
     """
     p = 0.5 * np.real(np.einsum("kxy,xy->k", SIGMA, p_sum))
     t = np.einsum("kxy,lqp,xypq->kl", SIGMA, SIGMA, f_sum)
@@ -358,6 +357,17 @@ def _sphere_average(p_sum: np.ndarray, f_sum: np.ndarray) -> float:
     axis = p[1:] / beta if beta > 0.0 else np.array([0.0, 0.0, 1.0])
     along, trace = axis @ s[1:, 1:] @ axis, np.trace(s[1:, 1:])
     c = (s[0, 0] + 0.5 * (trace - along), 2.0 * s[0, 1:] @ axis, 1.5 * along - 0.5 * trace)
+    return axial_average(a, beta, c)
+
+
+def axial_average(a: float, beta: float, c) -> float:
+    """(1/2) int (c0 + c1 z + c2 z^2) / (a + beta z) dz over [-1, 1], |beta| < a.
+
+    The Bloch-sphere average of N(n) / P(n) when P = a + beta z is affine in
+    the height z along one axis (z is uniform on [-1, 1] over the sphere) and
+    N averages to c0 + c1 z + c2 z^2 over the circle at height z: a series in
+    eps = beta / a below 1/2, through atanh(eps) above.
+    """
     # j[k] = int z^k / (1 + eps z) dz over [-1, 1]
     eps = beta / a
     if eps < 0.5:

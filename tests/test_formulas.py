@@ -7,11 +7,12 @@ which shares no code path with the closed forms under test.
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hybrid_teleport import formulas
+from hybrid_teleport import crossval, formulas
 from hybrid_teleport.encoding import BlochAngles, DynamicBasis, HybridType, logical_ket
 from hybrid_teleport.engine import (
     COHERENT_ALGEBRA,
@@ -24,6 +25,7 @@ from hybrid_teleport.engine import (
 )
 from hybrid_teleport.loss import LossParameter, damp_mode
 from hybrid_teleport.measurement import success_outcomes
+from hybrid_teleport.protocol import DEFAULT_QUADRATURE, SphereQuadrature
 
 ANGLES = BlochAngles(1.1, 2.3)
 
@@ -241,8 +243,59 @@ class TestGroupSumIdentity:
     def test_quadrature_average_consistent(self):
         alpha, t = 1.0, math.sqrt(1.0 - 0.09)
         via_quad = formulas.average_fidelity_quadrature(alpha, t)
-        via_api = formulas.average_fidelity(HybridType.TYPE_II, alpha, t)
+        via_api = formulas.average_fidelity(HybridType.TYPE_II, alpha, t, DEFAULT_QUADRATURE)
         assert math.isclose(via_quad, via_api, rel_tol=1e-14)
+
+
+def axial_rule_average(alpha, t, n):
+    """Type-II sphere average of sum p_i f_i / sum p_i on n Gauss-Legendre
+    heights z along -x times four azimuths: the 2-D oracle.
+
+    The sum of probabilities depends on n_x alone and the numerator is a
+    polynomial of degree 2 in n, so four azimuths are exact on each circle;
+    the heights resolve a pole of the ratio just beyond z = -1.
+    """
+    z, w = np.polynomial.legendre.leggauss(n)
+    total = 0.0
+    for zi, wi in zip(z, w):
+        s = math.sqrt(1.0 - zi * zi)
+        for k in range(4):
+            phi = 0.5 * math.pi * k + 0.3
+            ang = BlochAngles(math.acos(s * math.sin(phi)), math.atan2(s * math.cos(phi), -zi))
+            probs = [formulas.group_probability(i, alpha, t, ang) for i in range(1, 6)]
+            num = sum(p * formulas.group_fidelity(i, alpha, t, ang)
+                      for i, p in enumerate(probs, start=1))
+            total += 0.125 * wi * num / sum(probs)
+    return total
+
+
+class TestExactSphereAverage:
+    @given(st.floats(0.1, 5.0), st.floats(0.0, 0.9))
+    @settings(max_examples=20, deadline=None)
+    def test_matches_default_rule(self, alpha, r):
+        t = math.sqrt(1.0 - r * r)
+        exact = formulas.average_fidelity(HybridType.TYPE_II, alpha, t)
+        rule = formulas.average_fidelity(HybridType.TYPE_II, alpha, t, DEFAULT_QUADRATURE)
+        assert abs(exact - rule) <= 1e-12
+
+    @pytest.mark.parametrize("alpha", [0.1, 1.0])
+    @pytest.mark.parametrize("r", [0.99, 0.999])
+    def test_matches_dense_rule_near_the_pole(self, alpha, r):
+        # the default rule is 6.9e-8 off at (0.1, 0.999)
+        t = math.sqrt(1.0 - r * r)
+        exact = formulas.average_fidelity(HybridType.TYPE_II, alpha, t)
+        assert abs(exact - axial_rule_average(alpha, t, 400)) <= 1e-12
+
+    def test_closed_route_reads_no_sphere_grid(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("sphere grid read")
+
+        monkeypatch.setattr(SphereQuadrature, "nodes", refuse)
+        monkeypatch.setattr(SphereQuadrature, "mu_nu_grid", refuse)
+        formulas.average_fidelity(HybridType.TYPE_II, 1.3, 0.8)
+        formulas.group_sum_deviation(1.3, 0.8)
+        assert crossval.check_group_sum_identity().passed
+        assert crossval.check_closed_vs_simulated().passed
 
 
 class TestUniformTeleportedState:

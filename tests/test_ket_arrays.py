@@ -79,6 +79,18 @@ def test_factor_tables_hold_distinct_used_factors():
         assert sorted(set(state.ids[:, m].tolist())) == list(range(len(table)))
 
 
+def test_sum_keeps_terms_when_a_table_holds_a_factor_twice():
+    # fock(0) == FockVector((1.0,)): the factors a sum adds must not take
+    # an index of the table that is already in use
+    lay = ModeLayout(("m",), (2,), (Role.PHOTONIC,))
+    twice = KetSum.from_arrays(lay, np.array([1.0, 2.0], dtype=complex), np.array([[0], [1]]),
+                               [(fock(0), FockVector((1.0,)))])
+    other = KetSum(lay, [(3.0, (fock(1),))])
+    total = twice + other
+    assert total.terms == [(1, (fock(0),)), (2, (fock(0),)), (3, (fock(1),))]
+    assert np.allclose(dense(total), dense(twice) + dense(other))
+
+
 # ---------------------------------------------------------------------------
 # random small sums against dense vectors
 

@@ -191,8 +191,8 @@ class TestLossyInvariants:
 
 
 class TestAverages:
-    # first-principles averages are exact; the closed forms use the default
-    # 32 x 64 sphere rule where they need one
+    # first-principles averages are exact; here the closed type-II average
+    # takes the default 32 x 64 sphere rule
     @pytest.mark.parametrize("hybrid", HYBRIDS)
     def test_agree_with_closed_forms(self, hybrid):
         loss = LossParameter(0.3)
