@@ -332,7 +332,3 @@ def main(argv=None) -> int:
     text = format_csv(rows) if config.fmt == "csv" else format_json(rows)
     _emit(text, config.out)
     return EXIT_OK
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -15,7 +15,8 @@ from . import formulas
 from .encoding import (
     BlochAngles,
     HybridType,
-    bell_decomposition_check,
+    bell_decomposition_table,
+    bell_residual,
     ideal_channel,
 )
 from .engine import (
@@ -65,17 +66,12 @@ class CheckResult:
 def check_bell_support(
     alphas=(0.5, 1.0, 2.0), n_angles: int = 3, tolerance: float = 1e-8
 ) -> CheckResult:
-    """Lossless analyzer-outcome support and correction-table consistency."""
-    worst = 0.0
-    for hybrid in HybridType:
-        for alpha in alphas:
-            for iu in range(n_angles):
-                for iv in range(n_angles):
-                    ang = BlochAngles(
-                        math.pi * (iu + 0.5) / n_angles,
-                        2.0 * math.pi * iv / n_angles + 0.3,
-                    )
-                    worst = max(worst, bell_decomposition_check(hybrid, alpha, ang))
+    """Lossless analyzer-outcome support and correction-table consistency, per
+    (type, alpha) one Bell table over the n_angles x n_angles input grid."""
+    grid = [BlochAngles(math.pi * (iu + 0.5) / n_angles, 2.0 * math.pi * iv / n_angles + 0.3)
+            for iu in range(n_angles) for iv in range(n_angles)]
+    worst = max(bell_residual(details) for hybrid in HybridType for alpha in alphas
+                for details in bell_decomposition_table(hybrid, alpha, grid))
     return CheckResult("bell-state support table", worst, tolerance)
 
 

@@ -16,11 +16,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from .engine import (
     COHERENT_ALGEBRA,
+    NO_PROJECTOR,
     Backend,
     Coherent,
     Contraction,
@@ -32,10 +34,10 @@ from .engine import (
     apply_beam_splitter,
     default_cutoff,
     fock,
+    operator_eigvals,
+    product_sums,
     term_overlaps,
-    trace_distance,
 )
-from .loss import LossParameter
 from .measurement import HybridType, MeasurementFamily, ProjectorSpec, projector
 
 SQRT_HALF = math.sqrt(0.5)
@@ -58,6 +60,25 @@ class BlochAngles:
             math.sin(self.u / 2.0) * math.cos(self.v),
             math.sin(self.u / 2.0) * math.sin(self.v),
         )
+
+
+@dataclass(frozen=True)
+class LossParameter:
+    """Beam-splitter loss with transmission t and reflection r.
+
+    Constructed from r; t = sqrt(1 - r^2).  r = 1 (complete loss) is
+    excluded: the damped logical basis degenerates there.
+    """
+
+    r: float
+
+    def __post_init__(self):
+        if not 0.0 <= self.r < 1.0:
+            raise ValueError(f"loss r must lie in [0, 1), got {self.r}")
+
+    @property
+    def t(self) -> float:
+        return math.sqrt(1.0 - self.r * self.r)
 
 
 @dataclass(frozen=True)
@@ -140,6 +161,18 @@ def input_state(
     zero = logical_ket(hybrid, 0, basis, slot, coh_scale)
     one = logical_ket(hybrid, 1, basis, slot, coh_scale)
     return zero.scaled(angles.mu) + one.scaled(angles.nu)
+
+
+# the reference mode of a Choi ket: |x>_R marks the logical input |x_L>
+R_LAYOUT = ModeLayout(("R",), (2,), (Role.PHOTONIC,))
+R_FACTORS = (fock(0), fock(1))
+R_KETS = tuple(KetSum(R_LAYOUT, [(1.0, (k,))]) for k in R_FACTORS)
+
+
+def choi_ket(hybrid: HybridType, basis: DynamicBasis, slot: str, coh_scale: float = 1.0) -> KetSum:
+    """sum_x |x>_R |x_L>: one slot's qubit entangled with the reference mode R."""
+    return reduce(KetSum.__add__, (ref.tensor(logical_ket(hybrid, bit, basis, slot, coh_scale))
+                                   for bit, ref in enumerate(R_KETS)))
 
 
 def ideal_channel(hybrid: HybridType, alpha: float) -> KetSum:
@@ -281,75 +314,83 @@ _SUPPORTED_COMBOS = {
 }
 
 
-def bell_decomposition_details(
-    hybrid: HybridType,
-    alpha: float,
-    angles: BlochAngles,
-    backend: Backend = COHERENT_ALGEBRA,
-) -> dict:
-    """Per Bell-pair combination: (probability, corrected-state deviation).
+def bell_decomposition_table(hybrid: HybridType, alpha: float, angles,
+                             backend: Backend = COHERENT_ALGEBRA) -> list:
+    """bell_decomposition_details for each input of angles, from one run per Bell bra.
 
-    Expands the lossless product of input and channel, removes the
-    single-photon-part Bell component with an exact bra, runs the coherent
-    pair through the beam splitter, and projects onto the detection sector
-    that tags each coherent Bell state.  Supported combinations must return
-    the input state after correction; the rest must carry zero probability.
+    The input slot holds a Choi ket, so one run serves every input: per Bell
+    bra, one beam splitter and one contraction keeping R and Bob's modes
+    give each detection outcome's operator at Choi level, corrected once
+    (one outside the decomposition is read uncorrected); input m = (mu, nu)
+    reads sum_xy m_x m_y^* of its R-blocks (x, y), and so does the target
+    |m_L><m_L| from the slot-c Choi ket.  All are read in one basis, the
+    distinct Bob products of their terms, with one Gram matrix.
     """
     basis = DynamicBasis(alpha, LossParameter(0.0))
-    lay = protocol_layout(hybrid, alpha)
-    phi_in = input_state(hybrid, angles, basis, "a", coh_scale=math.sqrt(2.0))
-    total = phi_in.tensor(ideal_channel(hybrid, alpha))
-    if total.layout.names != lay.names:
-        raise AssertionError("unexpected mode ordering")
-
-    bob_modes = photonic_modes(hybrid, "c") + (coherent_mode("c"),)
-    target = input_state(hybrid, angles, basis, "c").dm()
-
-    out = {}
+    total = choi_ket(hybrid, basis, "a", math.sqrt(2.0)).tensor(ideal_channel(hybrid, alpha))
+    target = choi_ket(hybrid, basis, "c").dm()
+    bob = photonic_modes(hybrid, "c") + (coherent_mode("c"),)
+    specs = [ProjectorSpec(MeasurementFamily.B_ALPHA, o) for o in "1234"]
     bells = [(kind, sign) for kind in ("phi", "psi") for sign in (1, -1)]
-    bras = [photonic_bell(hybrid, kind, sign, lay) for kind, sign in bells]
+    bras = [photonic_bell(hybrid, kind, sign, total.layout) for kind, sign in bells]
+    combos, ops = [], []
     for (kind, sign), reduced in zip(bells, _partial_inner(bras, total, backend)):
         split = apply_beam_splitter(reduced, "A", "B").canonicalized()
-        contraction = Contraction(split, split, bob_modes, backend)
-        specs = [ProjectorSpec(MeasurementFamily.B_ALPHA, o) for o in "1234"]
-        probs, weights = contraction.weights([projector(spec) for spec in specs])
-        for spec, p, w in zip(specs, probs[:, 0], weights[:, 0]):
-            bob = contraction.operator(w)
-            prob = float(p.real)
-            combo = (kind, sign, "o" + spec.outcome)
-            pauli = _SUPPORTED_COMBOS.get(combo)
-            if pauli is None or prob < 1e-14:
-                out[combo] = (prob, None)
-                continue
-            corrected = apply_correction(bob, hybrid, pauli, "c")
-            dev = trace_distance(
-                corrected.scaled(1.0 / prob), target, backend
-            )
-            out[combo] = (prob, dev)
-    return out
+        contraction = Contraction(split, split, ("R",) + bob, backend)
+        if contraction.keep_layout != target.layout:
+            raise ValueError("unexpected mode ordering")
+        _, weights = contraction.weights([projector(spec) for spec in specs])
+        for spec, w in zip(specs, weights[:, 0]):
+            combos.append((kind, sign, "o" + spec.outcome))
+            pauli = _SUPPORTED_COMBOS.get(combos[-1], "I")
+            ops.append(apply_correction(contraction.operator(w), hybrid, pauli, "c"))
+    ops.append(target)
+    # every term's left products (R and Bob's modes), then its right ones: Bob's index the basis
+    width, lay = 1 + len(bob), target.layout
+    prods = reduce(KetSum.__add__, (KetSum.from_arrays(lay, np.ones(len(op.coeffs), dtype=complex),
+                                                       op.ids[:, s:s + width], op.factors[s:s + width])
+                                    for s in (0, width) for op in ops))
+    ids, _, sums = product_sums(prods, prods, bob, (NO_PROJECTOR,), backend)
+    x, y = np.split(np.array([R_FACTORS.index(k) for k in prods.factors[0]])[prods.ids[:, 0]], 2)
+    m = np.array([[a.mu, a.nu] for a in angles])
+    # mats[o, k]: operator o for input k, sum_ij mats[o, k, i, j] |e_i><e_j|
+    mats = np.zeros((len(ops),) + sums.shape[1:] + (len(m),), dtype=complex)
+    owner = np.repeat(np.arange(len(ops)), [len(op.coeffs) for op in ops])
+    np.add.at(mats, (owner, *np.split(ids, 2)),
+              (np.concatenate([op.coeffs for op in ops]) * m[:, x] * m[:, y].conj()).T)
+    mats = mats.transpose(0, 3, 1, 2)
+    # its trace: sum_ij M_ij <e_j|e_i>, and sums[0][i, j] = <e_j|e_i>
+    prob = np.einsum("okij,ij->ok", mats[:-1], sums[0]).real
+    live = np.array([c in _SUPPORTED_COMBOS for c in combos])[:, None] & (prob >= 1e-14)
+    diff = mats[:-1] / np.where(live, prob, 1.0)[..., None, None] - mats[-1]
+    dev = 0.5 * np.abs(operator_eigvals(sums[0].T, diff)).sum(axis=-1)
+    return [{c: (float(p), float(d) if ok else None)
+             for c, p, d, ok in zip(combos, prob[:, k], dev[:, k], live[:, k])}
+            for k in range(len(m))]
 
 
-def bell_decomposition_check(
-    hybrid: HybridType,
-    alpha: float,
-    angles: BlochAngles,
-    backend: Backend = COHERENT_ALGEBRA,
-) -> float:
-    """Max residual of the product-state Bell decomposition (0 iff it holds).
+def bell_decomposition_details(hybrid: HybridType, alpha: float, angles: BlochAngles,
+                               backend: Backend = COHERENT_ALGEBRA) -> dict:
+    """Per Bell-pair combination: (probability, corrected-state deviation) for one input.
 
-    Supported combinations contribute their corrected-state deviation from
-    the input; combinations outside the decomposition contribute their
-    (should-be-zero) probability.
-    """
-    residual = 0.0
-    for combo, (prob, dev) in bell_decomposition_details(
-        hybrid, alpha, angles, backend
-    ).items():
-        if combo in _SUPPORTED_COMBOS and dev is not None:
-            residual = max(residual, dev)
-        elif combo not in _SUPPORTED_COMBOS:
-            residual = max(residual, prob)
-    return residual
+    Supported combinations must return the input state after correction;
+    the rest must carry zero probability, and their deviation is None, as
+    it is below probability 1e-14."""
+    return bell_decomposition_table(hybrid, alpha, [angles], backend)[0]
+
+
+def bell_residual(details: dict) -> float:
+    """Max residual of one input's Bell details (0 iff the decomposition holds): the
+    supported combinations' deviations and the other ones' (should-be-zero) probabilities."""
+    return max([0.0] + [dev if combo in _SUPPORTED_COMBOS else prob
+                        for combo, (prob, dev) in details.items()
+                        if dev is not None or combo not in _SUPPORTED_COMBOS])
+
+
+def bell_decomposition_check(hybrid: HybridType, alpha: float, angles: BlochAngles,
+                             backend: Backend = COHERENT_ALGEBRA) -> float:
+    """bell_residual of one input's bell_decomposition_details."""
+    return bell_residual(bell_decomposition_details(hybrid, alpha, angles, backend))
 
 
 def _partial_inner(bras: list, psi: KetSum, backend: Backend) -> list:

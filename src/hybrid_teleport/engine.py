@@ -986,14 +986,19 @@ def gram_eigvals(state: TermSum, backend: Backend) -> np.ndarray:
     prods = KetSum.from_arrays(lay, np.ones(len(prods), dtype=complex), prods, tables)
     # over the distinct products: gram[i, j] = <kets[i]|kets[j]>, and mat[i, j] weighs |kets[i]><kets[j]|
     ids, _, sums = product_sums(prods, prods, lay.names, (NO_PROJECTOR,), backend)
-    gram = sums[0].T
-    mat = np.zeros(gram.shape, dtype=complex)
+    mat = np.zeros(sums[0].shape, dtype=complex)
     np.add.at(mat, (ids[0::2], ids[1::2]), coeffs)
+    return operator_eigvals(sums[0].T, mat)
+
+
+def operator_eigvals(gram: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """Eigenvalues of each Hermitian sum_ij mats[..., i, j] |e_i><e_j|, gram[i, j] = <e_i|e_j>,
+    in one orthonormal basis of the e_i's span (gram's directions below 1e-12 of its top go)."""
     lam, vec = np.linalg.eigh(gram)
     good = lam > max(1e-12 * max(lam.max(), 1.0), 1e-14)
     w = (vec[:, good] * np.sqrt(lam[good])).conj().T
-    h = w @ mat @ w.conj().T
-    return np.linalg.eigvalsh(0.5 * (h + h.conj().T))
+    h = w @ mats @ w.conj().T
+    return np.linalg.eigvalsh(0.5 * (h + h.conj().swapaxes(-1, -2)))
 
 
 def trace_distance(a: TermSum, b: TermSum, backend: Backend) -> float:

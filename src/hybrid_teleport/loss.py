@@ -23,40 +23,22 @@ is the closed-form damped channel state.
 
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass
 
+import numpy as np
+
+from .encoding import LossParameter, _plus_minus, qubit_layout
 from .engine import (
     Coherent,
     FockVector,
     KetSum,
-    LocalKet,
     ModeLayout,
     Role,
     TermSum,
     apply_beam_splitter,
     fock,
 )
-
-
-@dataclass(frozen=True)
-class LossParameter:
-    """Beam-splitter loss with transmission t and reflection r.
-
-    Constructed from r; t = sqrt(1 - r^2).  r = 1 (complete loss) is
-    excluded: the damped logical basis degenerates there.
-    """
-
-    r: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.r < 1.0:
-            raise ValueError(f"loss r must lie in [0, 1), got {self.r}")
-
-    @property
-    def t(self) -> float:
-        return math.sqrt(1.0 - self.r * self.r)
+from .measurement import HybridType
 
 
 def dilate(state: KetSum, names, loss: LossParameter) -> KetSum:
@@ -86,85 +68,78 @@ def dilate(state: KetSum, names, loss: LossParameter) -> KetSum:
     return out
 
 
-def _kraus_on_ket(k: int, ket: LocalKet, t: float, r: float) -> tuple:
-    """(scalar, LocalKet) for E_k |ket>, or None when it vanishes."""
-    if isinstance(ket, Coherent):
-        g = ket.amplitude
-        if k == 0:
-            s = math.exp(-0.5 * (r * abs(g)) ** 2)
-        else:
-            s = (r * g) ** k / math.sqrt(math.factorial(k)) * math.exp(
-                -0.5 * (r * abs(g)) ** 2
-            )
-        if s == 0:
-            return None
-        return complex(s), Coherent(t * g)
-    coeffs = ket.coeffs
-    deg = ket.degree
-    if deg < k:
-        return None
-    out = [0.0j] * (deg - k + 1)
-    for n in range(k, deg + 1):
-        c = coeffs[n]
-        if c == 0:
+def _kraus_images(table, orders: int, t: float, r: float) -> tuple:
+    """(scale, image, images) with E_k f = scale[f, k] images[image[f, k]], k < orders.
+
+    table holds one column's distinct factors f, each mapped once per
+    order; scale is 0 where E_k f vanishes.  A coherent factor maps to
+    |t g> at every order.
+    """
+    scale = np.zeros((len(table), orders), dtype=complex)
+    image = np.zeros((len(table), orders), dtype=np.int64)
+    index = {}
+    for f, ket in enumerate(table):
+        if isinstance(ket, Coherent):
+            g = ket.amplitude
+            # (r g)^k / sqrt(k!) exp(-r^2 |g|^2 / 2) as a running product
+            steps = r * g / np.sqrt(np.maximum(np.arange(orders), 1), dtype=complex)
+            steps[0] = math.exp(-0.5 * (r * abs(g)) ** 2)
+            scale[f], image[f] = np.cumprod(steps), index.setdefault(Coherent(t * g), len(index))
             continue
-        out[n - k] = c * math.sqrt(math.comb(n, k)) * t ** (n - k) * r**k
-    if not any(abs(c) > 0 for c in out):
-        return None
-    return 1.0 + 0.0j, FockVector(tuple(out))
-
-
-def _max_kraus_order(left: LocalKet, right: LocalKet) -> int:
-    """Largest k with E_k |L><R| E_k^dag nonzero, or -1 if unbounded."""
-    bound = -1
-    for ket in (left, right):
-        if isinstance(ket, FockVector):
-            d = ket.degree
-            if d < 0:
-                return 0
-            bound = d if bound < 0 else min(bound, d)
-    return bound
+        coeffs = np.array(ket.coeffs, dtype=complex)
+        for k in range(min(orders, ket.degree + 1)):
+            n = np.arange(k, len(coeffs))
+            out = coeffs[k:] * np.sqrt([math.comb(j, k) for j in n.tolist()]) * t ** (n - k) * r**k
+            nonzero = np.flatnonzero(out)
+            if len(nonzero):
+                scale[f, k] = 1.0
+                image[f, k] = index.setdefault(FockVector(out[:nonzero[-1] + 1]), len(index))
+    return scale, image, tuple(index)
 
 
 def damp_mode(state: TermSum, name: str, loss: LossParameter) -> TermSum:
-    """Amplitude damping on one mode of an operator sum, exactly."""
+    """Amplitude damping on one mode of an operator sum, exactly.
+
+    A term whose two factors on the mode are coherent takes the closed
+    exponent; any other term becomes one term per Kraus order up to the
+    smaller Fock degree of its sides (order 0 alone at r = 0).  Each
+    distinct factor is mapped once per order (_kraus_images), and the
+    terms are expanded as rows of factor ids, in order.  A row whose image
+    vanishes has coefficient 0, and from_arrays drops it.
+    """
     t, r = loss.t, loss.r
     m = state.layout.index(name)
-    terms = []
-    for c, lefts, rights in state.terms:
-        kl, kr = lefts[m], rights[m]
-        if isinstance(kl, Coherent) and isinstance(kr, Coherent):
-            g, d = kl.amplitude, kr.amplitude
-            # one exponent: its real part, -r^2 |g - d|^2 / 2, never overflows
-            z = r * r * (g * d.conjugate() - 0.5 * (abs(g) ** 2 + abs(d) ** 2))
-            terms.append(
-                (
-                    c * cmath.exp(z),
-                    lefts[:m] + (Coherent(t * g),) + lefts[m + 1 :],
-                    rights[:m] + (Coherent(t * d),) + rights[m + 1 :],
-                )
-            )
-            continue
-        kmax = _max_kraus_order(kl, kr)
-        if r == 0.0:
-            kmax = 0
-        for k in range(kmax + 1):
-            pl = _kraus_on_ket(k, kl, t, r)
-            if pl is None:
-                continue
-            pr = _kraus_on_ket(k, kr, t, r)
-            if pr is None:
-                continue
-            sl, newl = pl
-            sr, newr = pr
-            terms.append(
-                (
-                    c * sl * sr.conjugate(),
-                    lefts[:m] + (newl,) + lefts[m + 1 :],
-                    rights[:m] + (newr,) + rights[m + 1 :],
-                )
-            )
-    return TermSum(state.layout, terms)
+    cols = (m, m + len(state.layout.names))
+    unbounded = 1 << 30  # a coherent factor's Kraus order bound
+
+    def per_term(c):
+        # each term's factor in column c: coherent or not, its amplitude, its Kraus order bound
+        table = state.factors[c]
+        coh = np.array([isinstance(k, Coherent) for k in table], dtype=bool)
+        amp = np.array([k.amplitude if is_c else 0.0 for k, is_c in zip(table, coh)], dtype=complex)
+        deg = np.array([unbounded if is_c else k.degree for k, is_c in zip(table, coh)], dtype=int)
+        return coh[state.ids[:, c]], amp[state.ids[:, c]], deg[state.ids[:, c]]
+
+    (cl, g, dl), (cr, d, dr) = per_term(cols[0]), per_term(cols[1])
+    both = cl & cr
+    # the top order: the smaller Fock degree (a coherent side sets no bound), 0 at r = 0
+    top = np.minimum(np.minimum(dl, dr), unbounded if r > 0.0 else 0)
+    counts = np.where(both, 0, top) + 1
+    rows = np.repeat(np.arange(len(counts)), counts)
+    k = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
+    # an operator's left and right tables are often equal (a dm()): map them once
+    images = {table: _kraus_images(table, int(k.max(initial=0)) + 1, t, r)
+              for table in dict.fromkeys(state.factors[c] for c in cols)}
+    (sl, il, tl), (sr, ir, tr) = (images[state.factors[c]] for c in cols)
+    li, ri, g, d = state.ids[rows, cols[0]], state.ids[rows, cols[1]], g[rows], d[rows]
+    # a coherent pair takes one exponent, whose real part -r^2 |g - d|^2 / 2 never overflows
+    closed = np.exp(r * r * (g * d.conj() - 0.5 * (np.abs(g) ** 2 + np.abs(d) ** 2)))
+    coeffs = state.coeffs[rows] * np.where(both[rows], closed, sl[li, k] * sr[ri, k].conj())
+    out = state.ids[rows]
+    out[:, cols[0]], out[:, cols[1]] = il[li, k], ir[ri, k]
+    factors = list(state.factors)
+    factors[cols[0]], factors[cols[1]] = tl, tr
+    return TermSum.from_arrays(state.layout, coeffs, out, factors)
 
 
 def damp_modes(state: TermSum, names, loss: LossParameter) -> TermSum:
@@ -212,8 +187,6 @@ def _qubit_block(hybrid, slot: str, alpha: float, loss: LossParameter, k: int, c
     k indexes the four closed-form blocks: 1 and 4 are the diagonal
     (|g><g| and |-g><-g|) factors, 2 and 3 the dephased off-diagonal ones.
     """
-    from .encoding import HybridType, qubit_layout, _plus_minus
-
     lay = qubit_layout(hybrid, slot, alpha, coh_scale)
     t, r = loss.t, loss.r
     g = t * alpha

@@ -20,10 +20,13 @@ import numpy as np
 
 from .encoding import (
     LOGICAL_PAULI,
+    R_FACTORS,
+    R_KETS,
     BlochAngles,
     DynamicBasis,
     HybridType,
     apply_correction,
+    choi_ket,
     coherent_mode,
     correction_is_relabel,
     ideal_channel,
@@ -35,11 +38,8 @@ from .engine import (
     Backend,
     Contraction,
     KetSum,
-    ModeLayout,
-    Role,
     TermSum,
     apply_beam_splitter,
-    fock,
     term_overlaps,
 )
 from .loss import LossParameter, dilate
@@ -111,12 +111,6 @@ class SphereQuadrature:
 DEFAULT_QUADRATURE = SphereQuadrature()
 
 
-# the reference mode of the Choi state: |x>_R marks the logical input |x_L>
-R_LAYOUT = ModeLayout(("R",), (2,), (Role.PHOTONIC,))
-R_FACTORS = (fock(0), fock(1))
-R_KETS = tuple(KetSum(R_LAYOUT, [(1.0, (k,))]) for k in R_FACTORS)
-
-
 @lru_cache(maxsize=64)
 def _protocol_states(hybrid: HybridType, alpha: float, r: float) -> KetSum:
     """Pre-measurement Choi ket sum_x |x>_R Psi_x, Psi_x that of the input |x_L>.
@@ -137,8 +131,7 @@ def _protocol_states(hybrid: HybridType, alpha: float, r: float) -> KetSum:
         + (coherent_mode("c"),)
     )
     channel = dilate(ideal_channel(hybrid, alpha), ch_modes, loss)
-    psi = reduce(KetSum.__add__, (ref.tensor(logical_ket(hybrid, bit, basis, "a", math.sqrt(2.0)))
-                                  for bit, ref in enumerate(R_KETS))).tensor(channel)
+    psi = choi_ket(hybrid, basis, "a", math.sqrt(2.0)).tensor(channel)
     for pm, am in zip(photonic_modes(hybrid, "b"), photonic_modes(hybrid, "a")):
         psi = apply_beam_splitter(psi, pm, am)
     return apply_beam_splitter(psi, "A", "B").canonicalized()

@@ -2,7 +2,7 @@
 
 import re
 
-from hybrid_teleport import crossval
+from hybrid_teleport import crossval, encoding
 from hybrid_teleport.crossval import CheckResult, run_all_checks
 from hybrid_teleport.loss import LossParameter, dilate
 
@@ -45,3 +45,13 @@ class TestChannelClosedForm:
         assert crossval.check_channel_closed_form().passed
         monkeypatch.setattr(crossval, "dilate", wrong_dilate)
         assert not crossval.check_channel_closed_form().passed
+
+
+class TestBellSupport:
+    def test_fails_on_a_swapped_correction(self, monkeypatch):
+        # the check reads the correction table: one wrong entry must fail it
+        assert crossval.check_bell_support(n_angles=2).passed
+        monkeypatch.setitem(encoding._SUPPORTED_COMBOS, ("phi", -1, "o3"), "XZ")
+        res = crossval.check_bell_support(n_angles=2)
+        assert not res.passed
+        assert res.worst > 0.5

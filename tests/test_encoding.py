@@ -16,6 +16,8 @@ from hybrid_teleport.encoding import (
     HybridType,
     apply_correction,
     bell_decomposition_check,
+    bell_decomposition_details,
+    bell_decomposition_table,
     coherent_mode,
     correction_is_relabel,
     ideal_channel,
@@ -41,6 +43,7 @@ from hybrid_teleport.engine import (
 )
 from hybrid_teleport.loss import LossParameter
 
+from bell_oracle import bell_details
 from ket_oracle import dense_correction
 
 HYBRIDS = (HybridType.TYPE_I, HybridType.TYPE_II)
@@ -271,6 +274,35 @@ class TestBellDecomposition:
     def test_residual_small_random_angles(self, u, v):
         res = bell_decomposition_check(HybridType.TYPE_II, 1.0, BlochAngles(u, v))
         assert res < 1e-8
+
+
+class TestBellTable:
+    GRID = [BlochAngles(math.pi * (iu + 0.5) / 3, 2.0 * math.pi * iv / 3 + 0.3)
+            for iu in range(3) for iv in range(3)]
+
+    @pytest.mark.parametrize("hybrid", HYBRIDS)
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+    def test_matches_per_input_oracle(self, hybrid, alpha):
+        # one Choi run per Bell bra against one run per input and Bell bra
+        table = bell_decomposition_table(hybrid, alpha, self.GRID)
+        assert len(table) == len(self.GRID)
+        for angles, got in zip(self.GRID, table):
+            want = bell_details(hybrid, alpha, angles)
+            assert got.keys() == want.keys()
+            for combo, (prob, dev) in want.items():
+                assert (got[combo][1] is None) == (dev is None), combo
+                assert abs(got[combo][0] - prob) < 1e-12, combo
+                if dev is not None:
+                    assert abs(got[combo][1] - dev) < 1e-12, combo
+
+    def test_details_read_one_input_of_the_table(self):
+        angles = self.GRID[4]
+        want = bell_decomposition_table(HybridType.TYPE_I, 1.0, [self.GRID[0], angles])[1]
+        got = bell_decomposition_details(HybridType.TYPE_I, 1.0, angles)
+        assert got.keys() == want.keys()
+        for combo, (prob, dev) in want.items():
+            assert abs(got[combo][0] - prob) < 1e-14
+            assert (dev is None) == (got[combo][1] is None)
 
 
 class TestPartialInner:

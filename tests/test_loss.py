@@ -1,10 +1,11 @@
 """Photon-loss channel tests against a dense Kraus-operator oracle."""
 
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hybrid_teleport.encoding import HybridType, ideal_channel
@@ -19,6 +20,7 @@ from hybrid_teleport.engine import (
     Role,
     TermSum,
     default_cutoff,
+    fock,
     ket_vector,
     trace_distance,
 )
@@ -30,6 +32,8 @@ from hybrid_teleport.loss import (
     dilate,
     pm_block,
 )
+
+import kraus_oracle
 
 
 def kraus_ops(t: float, dim: int) -> list:
@@ -165,6 +169,55 @@ class TestDampModes:
         ab = damp_modes(rho, ("p", "C"), loss)
         ba = damp_modes(rho, ("C", "p"), loss)
         assert trace_distance(ab, ba, COHERENT_ALGEBRA) < 1e-12
+
+
+def dense_operator(state: TermSum) -> np.ndarray:
+    """Operator sum on any layout as a dense matrix over the cutoffs."""
+    def vec(kets):
+        return reduce(np.kron, [ket_vector(k, cut) for k, cut in zip(kets, state.layout.cutoffs)])
+
+    return sum(c * np.outer(vec(lefts), vec(rights).conj()) for c, lefts, rights in state.terms)
+
+
+# two modes at the default cutoff of the largest amplitude drawn
+KRAUS_LAYOUT = ModeLayout(("p", "C"), (default_cutoff(0.7),) * 2, (Role.PHOTONIC, Role.COHERENT))
+factors = st.one_of(
+    st.complex_numbers(max_magnitude=0.7, allow_nan=False, allow_infinity=False).map(Coherent),
+    # Fock vectors of degree up to 3, trailing zeros and the zero vector included
+    st.lists(st.sampled_from([0.0, 1.0, -0.6, 0.5j, 0.8 - 0.3j]), min_size=1, max_size=4).map(FockVector),
+)
+operator_terms = st.lists(
+    st.tuples(st.complex_numbers(min_magnitude=0.1, max_magnitude=1.0, allow_nan=False,
+                                 allow_infinity=False),
+              st.tuples(factors, factors), st.tuples(factors, factors)),
+    min_size=1, max_size=5,
+)
+losses = st.one_of(st.just(0.0), st.floats(0.0, 0.95))
+
+
+class TestKrausArrays:
+    @given(operator_terms, losses, st.sampled_from([("p",), ("C",), ("p", "C"), ("C", "p")]))
+    @example([(1.0, (fock(3), Coherent(0.5)), (fock(1), fock(2))),
+              (0.5, (fock(1), fock(0)), (fock(3), Coherent(-0.5)))], 0.4, ("p", "C"))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_term_by_term_oracle(self, terms, r, names):
+        # the array map against the per-term Kraus loop, as dense matrices
+        rho = TermSum(KRAUS_LAYOUT, terms)
+        loss = LossParameter(r)
+        got = dense_operator(damp_modes(rho, names, loss))
+        want = dense_operator(kraus_oracle.damp_modes(rho, names, loss))
+        assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("r", [0.0, 0.5])
+    def test_vanishing_images_leave_no_terms(self, r):
+        # E_k |0_coh> = 0 for k >= 1, so a Coherent(0) x Fock term keeps order 0 alone:
+        # the same term count as the oracle, which skips vanishing images
+        rho = TermSum(KRAUS_LAYOUT, [(1.0, (Coherent(0.0), fock(3)), (fock(2), Coherent(0.3))),
+                                     (0.5, (fock(1), Coherent(0.0)), (Coherent(0.0), fock(0)))])
+        loss = LossParameter(r)
+        got = damp_modes(rho, ("p", "C"), loss)
+        assert len(got.coeffs) == len(kraus_oracle.damp_modes(rho, ("p", "C"), loss).terms)
+        assert np.count_nonzero(got.coeffs) == len(got.coeffs)
 
 
 class TestDilation:
