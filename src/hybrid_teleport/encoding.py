@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -171,21 +170,18 @@ R_KETS = tuple(KetSum(R_LAYOUT, [(1.0, (k,))]) for k in R_FACTORS)
 
 def choi_ket(hybrid: HybridType, basis: DynamicBasis, slot: str, coh_scale: float = 1.0) -> KetSum:
     """sum_x |x>_R |x_L>: one slot's qubit entangled with the reference mode R."""
-    return reduce(KetSum.__add__, (ref.tensor(logical_ket(hybrid, bit, basis, slot, coh_scale))
-                                   for bit, ref in enumerate(R_KETS)))
+    return KetSum.summed(ref.tensor(logical_ket(hybrid, bit, basis, slot, coh_scale))
+                         for bit, ref in enumerate(R_KETS))
 
 
 def ideal_channel(hybrid: HybridType, alpha: float) -> KetSum:
     """(|0_L>|0_L> + |1_L>|1_L>)/sqrt(2) over slots b and c, no loss."""
     basis = DynamicBasis(alpha, LossParameter(0.0))
     scale = math.sqrt(2.0)
-    out = None
-    for bit in (0, 1):
-        half = logical_ket(hybrid, bit, basis, "b", coh_scale=scale).tensor(
-            logical_ket(hybrid, bit, basis, "c")
-        )
-        out = half if out is None else out + half
-    return out.scaled(SQRT_HALF)
+    return KetSum.summed(
+        logical_ket(hybrid, bit, basis, "b", coh_scale=scale).tensor(logical_ket(hybrid, bit, basis, "c"))
+        for bit in (0, 1)
+    ).scaled(SQRT_HALF)
 
 
 # ---------------------------------------------------------------------------
@@ -347,9 +343,9 @@ def bell_decomposition_table(hybrid: HybridType, alpha: float, angles,
     ops.append(target)
     # every term's left products (R and Bob's modes), then its right ones: Bob's index the basis
     width, lay = 1 + len(bob), target.layout
-    prods = reduce(KetSum.__add__, (KetSum.from_arrays(lay, np.ones(len(op.coeffs), dtype=complex),
-                                                       op.ids[:, s:s + width], op.factors[s:s + width])
-                                    for s in (0, width) for op in ops))
+    prods = KetSum.summed(KetSum.from_arrays(lay, np.ones(len(op.coeffs), dtype=complex),
+                                             op.ids[:, s:s + width], op.factors[s:s + width])
+                          for s in (0, width) for op in ops)
     ids, _, sums = product_sums(prods, prods, bob, (NO_PROJECTOR,), backend)
     x, y = np.split(np.array([R_FACTORS.index(k) for k in prods.factors[0]])[prods.ids[:, 0]], 2)
     m = np.array([[a.mu, a.nu] for a in angles])

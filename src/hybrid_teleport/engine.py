@@ -8,9 +8,10 @@ a matrix of factor ids and one table of distinct factors per column (an
 operator has a left and a right column per mode).  Sums keep their factors
 as given; canonicalized() is the one place factors are normalized and
 near-equal terms merged.
-Contractions (overlaps, traces, projections) reduce to per-mode scalar
-factors, evaluated by one of two interchangeable backends: exact
-coherent-state algebra, or truncated Fock sums at the layout cutoffs.
+Contractions (overlaps, traces, projections) reduce to per-mode tables over
+distinct factors, all from overlap_table, for either of two interchangeable
+backends: exact coherent-state algebra, or truncated Fock sums at the
+layout cutoffs.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache
 from itertools import accumulate
 from typing import Iterable, Union
 
@@ -174,6 +175,11 @@ def normalize_ket(k: LocalKet) -> tuple:
     return complex(scale), FockVector(tuple(c / scale for c in k.coeffs))
 
 
+def _by_value(k: LocalKet) -> tuple:
+    """A factor's exact coefficients: an order among factors that share a ket_key."""
+    return tuple((c.real, c.imag) for c in ((k.amplitude,) if isinstance(k, Coherent) else k.coeffs))
+
+
 @lru_cache(maxsize=4096)
 def _normal_form(k: LocalKet) -> tuple:
     """(scale, unit ket, ket_key of it): normalize_ket and ket_key, once per distinct factor."""
@@ -251,43 +257,8 @@ def ket_vector(k: LocalKet, cutoff: int) -> np.ndarray:
         raise CutoffInsufficientError(
             f"Fock vector of degree {deg} exceeds cutoff {cutoff}"
         )
-    for n, c in enumerate(k.coeffs[: cutoff + 1]):
-        vec[n] = c
+    vec[: min(len(k.coeffs), cutoff + 1)] = k.coeffs[: cutoff + 1]
     return vec
-
-
-def _fock_coh_overlap(bra: FockVector, amplitude: complex) -> complex:
-    # <f|amp>: finite sum over the vector's support, exact.
-    acc = 0.0 + 0.0j
-    c = math.exp(-0.5 * abs(amplitude) ** 2)
-    term = complex(c)
-    for n, fc in enumerate(bra.coeffs):
-        if n > 0:
-            term = term * amplitude / math.sqrt(n)
-        acc += fc.conjugate() * term
-    return acc
-
-
-@lru_cache(maxsize=1 << 18)
-def overlap(bra: LocalKet, ket: LocalKet, backend: Backend, cutoff: int) -> complex:
-    """<bra|ket> for two local kets on a mode with the given cutoff."""
-    if backend.kind == "fock":
-        vb = ket_vector(bra, cutoff)
-        vk = ket_vector(ket, cutoff)
-        return complex(np.vdot(vb, vk))
-    if isinstance(bra, Coherent) and isinstance(ket, Coherent):
-        g, d = bra.amplitude, ket.amplitude
-        return complex(
-            np.exp(-0.5 * abs(g) ** 2 - 0.5 * abs(d) ** 2 + g.conjugate() * d)
-        )
-    if isinstance(bra, FockVector) and isinstance(ket, Coherent):
-        return _fock_coh_overlap(bra, ket.amplitude)
-    if isinstance(bra, Coherent) and isinstance(ket, FockVector):
-        return _fock_coh_overlap(ket, bra.amplitude).conjugate()
-    la, lb = len(bra.coeffs), len(ket.coeffs)
-    return sum(
-        bra.coeffs[n].conjugate() * ket.coeffs[n] for n in range(min(la, lb))
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -324,36 +295,72 @@ FILTER_EVEN_GE2 = NumberFilter("even_ge2")
 FILTER_ALL = NumberFilter("all")
 
 
-@lru_cache(maxsize=65536)
-def filtered_overlap(
-    bra: LocalKet, filt: NumberFilter, ket: LocalKet, backend: Backend, cutoff: int
-) -> complex:
-    """<bra| F |ket> where F projects onto a photon-number class."""
+def _coherent_head(amplitude: complex, top: int) -> list:
+    """Fock coefficients 0..top of |amplitude>, exp(-|a|^2/2) a^n / sqrt(n!) as a running product."""
+    return list(accumulate(range(1, top + 1), lambda c, n: c * amplitude / math.sqrt(n),
+                           initial=math.exp(-0.5 * abs(amplitude) ** 2)))
+
+
+def _coherent_pairs(g: np.ndarray, filt: NumberFilter, d: np.ndarray) -> np.ndarray:
+    """<g|F|d> in closed form over broadcast amplitude arrays; |g|, |d| and conj(g) d in real
+    arithmetic, rounded as for one complex pair (a + z cancels to ulps of |g|^2 near g = d)."""
+    a = -0.5 * np.hypot(g.real, g.imag) ** 2 - 0.5 * np.hypot(d.real, d.imag) ** 2
+    z = (g.real * d.real + g.imag * d.imag) + 1j * (g.real * d.imag - g.imag * d.real)
     if filt.kind == "all":
-        return overlap(bra, ket, backend, cutoff)
-    if backend.kind == "fock":
-        vb = ket_vector(bra, cutoff)
-        vk = ket_vector(ket, cutoff)
-        return complex(np.vdot(vb, filt.mask(cutoff + 1) * vk))
-    if isinstance(bra, Coherent) and isinstance(ket, Coherent):
-        g, d = bra.amplitude, ket.amplitude
-        a = -0.5 * abs(g) ** 2 - 0.5 * abs(d) ** 2
-        z = g.conjugate() * d
-        if filt.kind == "n":
-            return complex(np.exp(a) * z ** filt.n / math.factorial(filt.n))
-        # sinh/cosh(z) overflow where exp(a) underflows; a +/- z cannot
-        # (Re(a +/- z) = -|g -/+ d|^2 / 2 <= 0)
-        if filt.kind == "odd":
-            return complex(0.5 * (np.exp(a + z) - np.exp(a - z)))
-        if filt.kind == "even_ge2":
-            return complex(0.5 * (np.exp(a + z) + np.exp(a - z)) - np.exp(a))
-        raise ValueError(f"unknown filter kind {filt.kind!r}")
-    # a Fock side bounds the sum: mask its coefficients, evaluate exactly
-    if isinstance(ket, FockVector):
-        ket = FockVector(filt.mask(len(ket.coeffs)) * ket.coeffs)
-    else:
-        bra = FockVector(filt.mask(len(bra.coeffs)) * bra.coeffs)
-    return overlap(bra, ket, COHERENT_ALGEBRA, cutoff)
+        return np.exp(a + z)
+    if filt.kind == "n":
+        return np.exp(a) * z ** filt.n / math.factorial(filt.n)
+    # sinh/cosh(z) overflow where exp(a) underflows; a +/- z cannot
+    # (Re(a +/- z) = -|g -/+ d|^2 / 2 <= 0)
+    if filt.kind == "odd":
+        return 0.5 * (np.exp(a + z) - np.exp(a - z))
+    if filt.kind == "even_ge2":
+        return 0.5 * (np.exp(a + z) + np.exp(a - z)) - np.exp(a)
+    raise ValueError(f"unknown filter kind {filt.kind!r}")
+
+
+@lru_cache(maxsize=1 << 12)
+def overlap_table(bras: tuple, filt: NumberFilter, kets: tuple, backend: Backend,
+                  cutoff: int) -> np.ndarray:
+    """T[i, j] = <bras[i]| F |kets[j]> on a mode with the given cutoff; read-only, cached.
+
+    The one place per-mode overlaps are evaluated: T = conj(B) (mask K)^T over Fock
+    coefficients up to one top, the cutoff on the fock backend (ket_vector checks tails
+    and degrees).  On the coherent backend top is the table's highest Fock degree, which
+    bounds every sum with a Fock side exactly, and coherent pairs take closed forms.
+    """
+    factors, nb = bras + kets, len(bras)
+    coh = [backend.kind == "coherent" and isinstance(k, Coherent) for k in factors]
+    table = np.zeros((nb, len(kets)), dtype=complex)
+    if not all(coh):
+        if backend.kind == "fock":
+            top, rows = cutoff, [ket_vector(k, cutoff) for k in factors]
+        else:
+            top = max([0] + [k.degree for k in factors if isinstance(k, FockVector)])
+            rows = [_coherent_head(k.amplitude, top) if isinstance(k, Coherent)
+                    else k.coeffs[: top + 1] + (0.0,) * (top + 1 - len(k.coeffs)) for k in factors]
+        mat = np.array(rows, dtype=complex).reshape(len(factors), top + 1)
+        table = mat[:nb].conj() @ (filt.mask(top + 1) * mat[nb:]).T
+    if any(coh[:nb]) and any(coh[nb:]):
+        amp = np.array([getattr(k, "amplitude", 0.0) for k in factors], dtype=complex)
+        pairs = _coherent_pairs(amp[:nb, None], filt, amp[nb:])
+        table = pairs if all(coh) else np.where(np.outer(coh[:nb], coh[nb:]), pairs, table)
+    table.setflags(write=False)  # shared by every caller of the cache
+    return table
+
+
+# 1x1 views of overlap_table, cached so that perfbench/spans.py can read their cache_info()
+@lru_cache(maxsize=256)
+def overlap(bra: LocalKet, ket: LocalKet, backend: Backend, cutoff: int) -> complex:
+    """<bra|ket> for two local kets on a mode with the given cutoff."""
+    return complex(overlap_table((bra,), FILTER_ALL, (ket,), backend, cutoff)[0, 0])
+
+
+@lru_cache(maxsize=256)
+def filtered_overlap(bra: LocalKet, filt: NumberFilter, ket: LocalKet, backend: Backend,
+                     cutoff: int) -> complex:
+    """<bra| F |ket> where F projects onto a photon-number class."""
+    return complex(overlap_table((bra,), filt, (ket,), backend, cutoff)[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -498,72 +505,6 @@ def _factor_rows(ids: np.ndarray, factors: tuple) -> list:
     return list(zip(*([table[i] for i in col] for table, col in zip(factors, ids.T.tolist()))))
 
 
-def _merged(tables: tuple, others: tuple, ids: np.ndarray) -> tuple:
-    """(tables extended by the new factors of others, ids into others re-pointed into them).
-
-    New factors go after the whole table, so a factor a table holds twice
-    keeps both places and every id into it stays valid.
-    """
-    merged, remap = [], []
-    for mine, theirs in zip(tables, others):
-        index = dict(zip(mine, range(len(mine))))
-        new = [k for k in dict.fromkeys(theirs) if k not in index]
-        index.update(zip(new, range(len(mine), len(mine) + len(new))))
-        remap += [index[k] for k in theirs]
-        merged.append(tuple(mine) + tuple(new))
-    offsets = np.array(list(accumulate(map(len, others[:-1]), initial=0)), dtype=np.int64)
-    return tuple(merged), np.array(remap, dtype=np.int64)[ids + offsets]
-
-
-def _canonical(coeffs: np.ndarray, ids: np.ndarray, factors: tuple, bra_columns: int = 0) -> tuple:
-    """Canonical form of a sum of product terms: the one place it is built.
-
-    Term t is coeffs[t] times the factors factors[m][ids[t, m]]; the last
-    bra_columns columns hold bra factors, whose scales enter conjugated.
-    Each distinct factor is normalized (normalize_ket) and keyed (ket_key)
-    once, with its scale moved into the coefficients.  Terms whose factors
-    agree to MERGE_DECIMALS are merged onto the factors of the last of
-    them, sorted by key, and dropped at or below DROP_TOL.  Returns
-    (coeffs, ids, factors) of the result; its tables hold only the
-    factors it uses.
-    """
-    width = len(factors)
-    done = [[_normal_form(k) for k in table] for table in factors]
-    scales, ranks, sizes, scaled = [], [], [], []
-    for m, column in enumerate(done):
-        rank = {key: n for n, key in enumerate(sorted({key for _, _, key in column}))}
-        ranks += [rank[key] for _, _, key in column]
-        sizes.append(len(rank))
-        column = [s.conjugate() if m >= width - bra_columns else s for s, _, _ in column]
-        scales += column
-        if any(s != 1.0 for s in column):
-            scaled.append(m)
-    offsets = list(accumulate(map(len, factors), initial=0))
-    glob = ids + np.array(offsets[:-1], dtype=np.int64)
-    # a factor already in canonical form has scale exactly 1: its column leaves coeffs as they are
-    if scaled:
-        scale = np.array(scales, dtype=complex)
-        for m in scaled:
-            coeffs = coeffs * scale[glob[:, m]]
-    group, count = _groups(*_row_codes(np.array(ranks, dtype=np.int64)[glob], sizes))
-    acc = np.zeros(count, dtype=complex)
-    np.add.at(acc, group, coeffs)
-    last = np.zeros(count, dtype=np.int64)
-    np.maximum.at(last, group, np.arange(len(group)))
-    live = np.abs(acc) > DROP_TOL
-    kept = glob[last[live]]
-    # the normalized factors the kept terms use, interned per mode by exact equality
-    used = np.zeros(offsets[-1], dtype=bool)
-    used[kept] = True
-    flags, renumber, tables = used.tolist(), [], []
-    for column, start in zip(done, offsets):
-        index = {}
-        renumber += [index.setdefault(nk, len(index)) if u else -1
-                     for (_, nk, _), u in zip(column, flags[start:])]
-        tables.append(tuple(index))
-    return acc[live], np.array(renumber, dtype=np.int64)[kept], tuple(tables)
-
-
 class _ProductSum:
     """Sum of weighted product terms, held as arrays.
 
@@ -612,12 +553,33 @@ class _ProductSum:
     def scaled(self, z: complex):
         return self.from_arrays(self.layout, self.coeffs * z, self.ids, self.factors)
 
-    def __add__(self, other):
-        if other.layout.names != self.layout.names:
+    @classmethod
+    def summed(cls, parts: Iterable):
+        """The sum of parts on one layout: their terms in order, their tables merged in one pass.
+
+        The first part's tables stay as they are and the later parts' new
+        factors go after them, so a factor a table holds twice keeps both places.
+        """
+        first, *rest = parts = list(parts)
+        if any(p.layout.names != first.layout.names for p in rest):
             raise ValueError("layout mismatch")
-        factors, ids = _merged(self.factors, other.factors, other.ids)
-        return self.from_arrays(self.layout, np.concatenate([self.coeffs, other.coeffs]),
-                                np.concatenate([self.ids, ids]), factors)
+        tables, remap = [], []
+        for mine, *theirs in zip(first.factors, *(p.factors for p in rest)):
+            index = dict(zip(mine, range(len(mine))))
+            new = dict.fromkeys(k for column in theirs for k in column if k not in index)
+            index.update(zip(new, range(len(mine), len(mine) + len(new))))
+            tables.append(tuple(mine) + tuple(new))
+            remap += [index[k] for column in theirs for k in column]
+        # remap lists the later parts' tables column by column: offsets[p, m] starts rest[p]'s column m
+        sizes = [len(t) for columns in zip(*(p.factors for p in rest)) for t in columns]
+        offsets = np.array(list(accumulate(sizes, initial=0))[:-1], dtype=np.int64)
+        offsets = offsets.reshape(len(first.factors), len(rest)).T
+        remap = np.array(remap, dtype=np.int64)
+        ids = np.concatenate([first.ids] + [remap[p.ids + o] for p, o in zip(rest, offsets)])
+        return cls.from_arrays(first.layout, np.concatenate([p.coeffs for p in parts]), ids, tables)
+
+    def __add__(self, other):
+        return self.summed((self, other))
 
     def tensor(self, other):
         """self x other on the merged layout, terms i over self then j over other."""
@@ -634,8 +596,57 @@ class _ProductSum:
                                 factors)
 
     def canonicalized(self):
+        """The canonical form of the sum: the one place it is built.
+
+        Each distinct factor is normalized (normalize_ket) and keyed (ket_key)
+        once, with its scale moved into the coefficients; an operator's right
+        (bra) factors' scales enter conjugated.  Terms whose factors agree to
+        MERGE_DECIMALS are merged onto the factors of the last of them, sorted
+        by key, and dropped at or below DROP_TOL.  The tables hold one factor
+        per key the result uses, so its structure does not depend on rounding
+        below MERGE_DECIMALS.
+        """
+        coeffs, ids, factors, width = self.coeffs, self.ids, self.factors, len(self.factors)
         bra_columns = (self._sides - 1) * len(self.layout.names)
-        return self.from_arrays(self.layout, *_canonical(self.coeffs, self.ids, self.factors, bra_columns))
+        done = [[_normal_form(k) for k in table] for table in factors]
+        scales, ranks, sizes, scaled = [], [], [], []
+        for m, column in enumerate(done):
+            rank = {key: n for n, key in enumerate(sorted({key for _, _, key in column}))}
+            ranks += [rank[key] for _, _, key in column]
+            sizes.append(len(rank))
+            column = [s.conjugate() if m >= width - bra_columns else s for s, _, _ in column]
+            scales += column
+            if any(s != 1.0 for s in column):
+                scaled.append(m)
+        offsets = list(accumulate(map(len, factors), initial=0))
+        glob = ids + np.array(offsets[:-1], dtype=np.int64)
+        # a factor already in canonical form has scale exactly 1: its column leaves coeffs alone
+        if scaled:
+            scale = np.array(scales, dtype=complex)
+            for m in scaled:
+                coeffs = coeffs * scale[glob[:, m]]
+        group, count = _groups(*_row_codes(np.array(ranks, dtype=np.int64)[glob], sizes))
+        acc = np.zeros(count, dtype=complex)
+        np.add.at(acc, group, coeffs)
+        last = np.zeros(count, dtype=np.int64)
+        np.maximum.at(last, group, np.arange(len(group)))
+        live = np.abs(acc) > DROP_TOL
+        kept = glob[last[live]]
+        # per column, in key order, one normalized factor per key the kept terms use: the
+        # least by value, so that no table or term order picks among factors equal to
+        # MERGE_DECIMALS
+        used = np.zeros(offsets[-1], dtype=bool)
+        used[kept] = True
+        flags, renumber, tables = used.tolist(), [], []
+        for column, start, size in zip(done, offsets, sizes):
+            least = [None] * size
+            for (_, nk, _), r, u in zip(column, ranks[start:], flags[start:]):
+                if u and (least[r] is None or _by_value(nk) < _by_value(least[r])):
+                    least[r] = nk
+            below = list(accumulate((k is not None for k in least), initial=0))
+            renumber += [below[r] for r in ranks[start:start + len(column)]]
+            tables.append(tuple(k for k in least if k is not None))
+        return self.from_arrays(self.layout, acc[live], np.array(renumber, dtype=np.int64)[kept], tables)
 
 
 class KetSum(_ProductSum):
@@ -812,9 +823,8 @@ def product_sums(ket: KetSum, bra: KetSum, modes: tuple, family: tuple,
     over modes of <bra factor|filter|ket factor> on the t-th distinct ket
     and the u-th distinct bra tuple of factor ids on modes; a mode a branch
     leaves unnamed gets FILTER_ALL, so (NO_PROJECTOR,) gives plain overlaps.
-    Each mode's values are one table over its distinct factors, taken once
-    per filter and gathered onto the tuples by factor ids; plain overlaps
-    come from overlap's cache alone, so filtered_overlap does not copy them.
+    Each mode's values are one overlap_table over its distinct factors, taken
+    once per filter and gathered onto the tuples by factor ids.
     """
     (ket_rows, ket_ids), (bra_rows, bra_ids) = ket.tuples(modes), bra.tuples(modes)
     grids = {}
@@ -828,14 +838,9 @@ def product_sums(ket: KetSum, bra: KetSum, modes: tuple, family: tuple,
                 grid = grids.get((mode, filt))
                 if grid is None:
                     m = ket.layout.index(mode)
-                    kets, bras = ket.factors[m], bra.factors[bra.layout.index(mode)]
-                    cut = ket.layout.cutoffs[m]
-                    if filt == FILTER_ALL:
-                        vals = [[overlap(b, k, backend, cut) for b in bras] for k in kets]
-                    else:
-                        vals = [[filtered_overlap(b, filt, k, backend, cut) for b in bras] for k in kets]
-                    vals = np.array(vals, dtype=complex).reshape(len(kets), len(bras))
-                    grid = grids[mode, filt] = vals[ket_rows[:, pos, None], bra_rows[:, pos]]
+                    table = overlap_table(bra.factors[bra.layout.index(mode)], filt, ket.factors[m],
+                                          backend, ket.layout.cutoffs[m])
+                    grid = grids[mode, filt] = table[bra_rows[:, pos], ket_rows[:, pos, None]]
                 acc = acc * grid
             total += acc
     return ket_ids, bra_ids, sums
@@ -952,7 +957,7 @@ class Contraction:
         kets are KetSums on the kept modes: <kets[p]|operator(W)|kets[q]>
         is then (A @ W @ B)[p, q] for every W from weights().
         """
-        reads = reduce(KetSum.__add__, kets)
+        reads = KetSum.summed(kets)
         owner = np.repeat(np.arange(len(kets)), [len(psi.coeffs) for psi in kets])
         # mix[p, j]: read term j's coefficient if it belongs to kets[p]
         mix = np.eye(len(kets))[owner].T * reads.coeffs
@@ -975,19 +980,15 @@ def gram_eigvals(state: TermSum, backend: Backend) -> np.ndarray:
     canonicalized first: product kets then match exactly, and near-equal
     ones have already been merged.
     """
-    lay, width = state.layout, len(state.layout.names)
-    coeffs, ids, factors = _canonical(state.coeffs, state.ids, state.factors, bra_columns=width)
-    if not len(coeffs):
+    state = state.canonicalized()
+    if not len(state.coeffs):
         return np.zeros(0)
-    # one table per mode for left and right factors; products alternate left, right per term
-    tables, rights = _merged(factors[:width], factors[width:], ids[:, width:])
-    prods = np.empty((2 * len(coeffs), width), dtype=np.int64)
-    prods[0::2], prods[1::2] = ids[:, :width], rights
-    prods = KetSum.from_arrays(lay, np.ones(len(prods), dtype=complex), prods, tables)
-    # over the distinct products: gram[i, j] = <kets[i]|kets[j]>, and mat[i, j] weighs |kets[i]><kets[j]|
-    ids, _, sums = product_sums(prods, prods, lay.names, (NO_PROJECTOR,), backend)
+    # the terms' left products, then their right ones, on one table per mode; over the distinct
+    # products, gram[i, j] = <kets[i]|kets[j]> and mat[i, j] weighs |kets[i]><kets[j]|
+    prods = KetSum.summed(state._halves())
+    ids, _, sums = product_sums(prods, prods, state.layout.names, (NO_PROJECTOR,), backend)
     mat = np.zeros(sums[0].shape, dtype=complex)
-    np.add.at(mat, (ids[0::2], ids[1::2]), coeffs)
+    np.add.at(mat, tuple(np.split(ids, 2)), state.coeffs)
     return operator_eigvals(sums[0].T, mat)
 
 

@@ -231,10 +231,8 @@ def decohered_channel(hybrid, alpha: float, loss: LossParameter) -> TermSum:
     half the sum over four blocks, each a same-block product between the
     sender and receiver halves.
     """
-    out = None
-    for k in (1, 2, 3, 4):
-        piece = _qubit_block(hybrid, "b", alpha, loss, k, math.sqrt(2.0)).tensor(
-            _qubit_block(hybrid, "c", alpha, loss, k, 1.0)
-        )
-        out = piece if out is None else out + piece
-    return out.scaled(0.5).canonicalized()
+    return TermSum.summed(
+        _qubit_block(hybrid, "b", alpha, loss, k, math.sqrt(2.0)).tensor(
+            _qubit_block(hybrid, "c", alpha, loss, k, 1.0))
+        for k in (1, 2, 3, 4)
+    ).scaled(0.5).canonicalized()

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -425,7 +425,7 @@ def group_statistics(
         if p_tot <= PROB_FLOOR or not live:
             out[key] = (p_tot, None, None)
             continue
-        acc = reduce(TermSum.__add__, (rec.state.scaled(rec.probability) for rec in live))
+        acc = TermSum.summed(rec.state.scaled(rec.probability) for rec in live)
         fid = sum(rec.probability * rec.fidelity for rec in live) / p_tot
         out[key] = (p_tot, fid, acc.scaled(1.0 / p_tot).canonicalized())
     return out

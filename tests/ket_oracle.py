@@ -47,7 +47,9 @@ def canonical_terms(terms: list) -> list:
     group of an operator term holds bra factors, so its scales enter
     conjugated.  Terms whose factors agree to MERGE_DECIMALS (ket_key) are
     merged onto the factors of the last of them, sorted by that key, and
-    dropped at or below DROP_TOL.
+    dropped at or below DROP_TOL.  Each position then holds one factor per
+    key: the least, by its exact coefficients, of those the kept terms use
+    there.
     """
     factors = {}
     acc = {}
@@ -72,11 +74,22 @@ def canonical_terms(terms: list) -> list:
         key = tuple(keys)
         acc[key] = acc.get(key, 0.0) + c
         groups_by_key[key] = normed
-    return [
-        (c, *groups_by_key[key])
-        for key, c in sorted(acc.items(), key=lambda kv: kv[0])
-        if abs(c) > DROP_TOL
-    ]
+    kept = [(key, c) for key, c in sorted(acc.items(), key=lambda kv: kv[0]) if abs(c) > DROP_TOL]
+    least = {}
+    for key, _ in kept:
+        for pos, (group, group_keys) in enumerate(zip(groups_by_key[key], key)):
+            for m, (k, kk) in enumerate(zip(group, group_keys)):
+                if (pos, m, kk) not in least or by_value(k) < by_value(least[pos, m, kk]):
+                    least[pos, m, kk] = k
+    return [(c, *(tuple(least[pos, m, kk] for m, kk in enumerate(group_keys))
+                  for pos, group_keys in enumerate(key)))
+            for key, c in kept]
+
+
+def by_value(k) -> tuple:
+    """A factor's exact coefficients, real and imaginary parts in turn."""
+    values = (k.amplitude,) if isinstance(k, Coherent) else k.coeffs
+    return tuple(part for z in values for part in (z.real, z.imag))
 
 
 def bs_pair(ki, kj, ci: int, cj: int, theta: float = BS_THETA) -> list:
@@ -135,8 +148,9 @@ def tensor_terms(left: list, right: list) -> list:
 
 
 def protocol_state_terms(hybrid, alpha: float, r: float) -> list:
-    """The canonical pre-measurement terms of the logical inputs 0 and 1,
-    built as protocol._protocol_states builds them, from term lists."""
+    """The pre-measurement terms of the logical inputs 0 and 1, built as
+    protocol._protocol_states builds them, from term lists, and canonicalized
+    together as the blocks R = |0> and R = |1> of one Choi ket are."""
     loss = LossParameter(r)
     basis, lossless = DynamicBasis(alpha, loss), DynamicBasis(alpha, LossParameter(0.0))
     scale = math.sqrt(2.0)
@@ -160,7 +174,7 @@ def protocol_state_terms(hybrid, alpha: float, r: float) -> list:
     lay = lay.merge(env)
     for n in names:
         channel = beam_splitter_terms(lay, channel, n, n + "~env", math.asin(r))
-    out = []
+    choi = []
     for bit in (0, 1):
         first = logical_ket(hybrid, bit, basis, "a", coh_scale=scale)
         psi_lay = first.layout.merge(lay)
@@ -168,8 +182,9 @@ def protocol_state_terms(hybrid, alpha: float, r: float) -> list:
         for pm, am in zip(photonic_modes(hybrid, "b"), photonic_modes(hybrid, "a")):
             psi = beam_splitter_terms(psi_lay, psi, pm, am)
         psi = beam_splitter_terms(psi_lay, psi, "A", "B")
-        out.append(canonical_terms(psi))
-    return out
+        choi += [(c, (fock(bit),) + kets) for c, kets in psi]
+    choi = canonical_terms(choi)
+    return [[(c, kets[1:]) for c, kets in choi if kets[0] == fock(bit)] for bit in (0, 1)]
 
 
 def dense_correction(hybrid, pauli, layout) -> np.ndarray:

@@ -35,6 +35,13 @@ BOTH = (HybridType.TYPE_I, HybridType.TYPE_II)
 REFERENCE_CSV = (
     Path(__file__).resolve().parent.parent / "perfbench" / "reference" / "closed_sweep.csv"
 )
+# committed first-principles sweeps: file name -> argv that prints it
+FP_REFERENCES = {
+    "fp_coherent_default.csv": ["--engine", "first-principles-coherent"],
+    "fp_fock_alpha_1_2.csv": ["--engine", "first-principles-fock", "--alpha", "1", "2",
+                              "--r-step", "0.1"],
+}
+FP_REFERENCE_DIR = Path(__file__).resolve().parent / "reference"
 
 
 def small_config(**kw):
@@ -195,6 +202,13 @@ class TestSweepOutput:
         out = tmp_path / "default.csv"
         assert main(["--out", str(out)]) == EXIT_OK
         assert out.read_bytes() == REFERENCE_CSV.read_bytes()
+
+    @pytest.mark.parametrize("name", sorted(FP_REFERENCES))
+    def test_first_principles_sweep_matches_reference(self, name, tmp_path):
+        # the first-principles route keeps its bytes: a digit that moves must be re-pinned on purpose
+        out = tmp_path / name
+        assert main(FP_REFERENCES[name] + ["--out", str(out)]) == EXIT_OK
+        assert out.read_bytes() == (FP_REFERENCE_DIR / name).read_bytes()
 
     def test_t_column_consistent(self):
         for row in run_sweep(small_config()):

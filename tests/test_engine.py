@@ -43,9 +43,12 @@ from hybrid_teleport.engine import (
     ket_vector,
     normalize_ket,
     overlap,
+    overlap_table,
     trace_distance,
 )
+from hybrid_teleport.measurement import FILTER_DOUBLE
 
+import overlap_oracle
 from protocol_oracle import dense_weights
 
 BACKENDS = (COHERENT_ALGEBRA, TRUNCATED_FOCK)
@@ -222,6 +225,51 @@ class TestFilters:
     def test_number_filter_rejects_unknown_kind(self):
         with pytest.raises(ValueError):
             NumberFilter("bogus").mask(4)
+
+
+# coherent factors up to |amplitude| 40, with 0 and +-1e-16 drawn often;
+# Fock factors of degree 0-6, zero vectors, and trailing zeros
+coherent_factors = st.one_of(
+    st.sampled_from([0.0, 1e-16, -1e-16, 1e-16j]),
+    st.builds(lambda mag, phase: mag * complex(math.cos(phase), math.sin(phase)),
+              st.floats(0.0, 40.0), st.floats(-math.pi, math.pi)),
+).map(Coherent)
+fock_coeffs = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
+fock_factors = st.one_of(
+    st.integers(1, 3).map(lambda n: FockVector((0.0,) * n)),
+    st.builds(lambda cs, zeros: FockVector(tuple(cs) + (0.0,) * zeros),
+              st.lists(fock_coeffs, min_size=1, max_size=7), st.integers(0, 2)),
+)
+factor_tables = st.lists(st.one_of(coherent_factors, fock_factors), min_size=1, max_size=4).map(tuple)
+ALL_FILTERS = (FILTER_ALL, FILTER_VACUUM, FILTER_SINGLE, FILTER_DOUBLE, NumberFilter("n", 5),
+               FILTER_ODD, FILTER_EVEN_GE2)
+
+
+class TestOverlapTable:
+    @given(factor_tables, factor_tables, st.sampled_from(BACKENDS))
+    @example((Coherent(40.0), FockVector((0.0,))), (Coherent(-40.0), fock(6), Coherent(1e-16)),
+             COHERENT_ALGEBRA)
+    @example((Coherent(1e-16), FockVector((0.5, 0.0, 0.0))), (Coherent(-1e-16), Coherent(0.0)),
+             TRUNCATED_FOCK)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_scalar_oracle(self, bras, kets, backend):
+        # every entry is the per-pair case ladder's value, under every filter
+        cut = max([default_cutoff(k.amplitude) for k in bras + kets if isinstance(k, Coherent)]
+                  + [len(k.coeffs) for k in bras + kets if isinstance(k, FockVector)])
+        for filt in ALL_FILTERS:
+            table = overlap_table(bras, filt, kets, backend, cut)
+            assert table.shape == (len(bras), len(kets)) and not table.flags.writeable
+            want = [[overlap_oracle.filtered_overlap(b, filt, k, backend, cut) for k in kets]
+                    for b in bras]
+            assert np.max(np.abs(table - np.array(want))) <= 1e-12, filt
+
+    def test_fock_backend_rejects_a_degree_above_the_cutoff(self):
+        with pytest.raises(CutoffInsufficientError):
+            overlap_table((fock(4),), FILTER_ALL, (Coherent(0.5),), TRUNCATED_FOCK, 3)
+        with pytest.raises(CutoffInsufficientError):
+            overlap_table((fock(0),), FILTER_ODD, (FockVector((0.0,) * 5 + (1.0,)),), TRUNCATED_FOCK, 4)
+        # the coherent backend bounds its sums by the degrees in the table instead
+        assert overlap_table((fock(4),), FILTER_ALL, (fock(4),), COHERENT_ALGEBRA, 3)[0, 0] == 1.0
 
 
 class TestBeamSplitter:

@@ -71,6 +71,22 @@ def test_protocol_states_match_term_lists(hybrid, alpha, r):
         assert len(want[0]) == (24 if r == 0.0 else 112)
 
 
+@given(st.sampled_from([HybridType.TYPE_I, HybridType.TYPE_II]), st.floats(0.1, 30.0),
+       st.floats(1e-5, 0.98))
+@example(HybridType.TYPE_I, 1.0, 0.98)
+@example(HybridType.TYPE_II, 27.7, 0.02)
+@settings(max_examples=30, deadline=None)
+def test_choi_ket_has_one_structure_per_type(hybrid, alpha, r):
+    # canonical tables hold one factor per key, so rounding below MERGE_DECIMALS
+    # cannot split a factor in two: at r > 0 only the numbers change.  Below
+    # r of about 7e-7, r^2 rounds to 0 at MERGE_DECIMALS and the structure
+    # moves toward the one at r = 0.
+    ref = protocol._protocol_states(hybrid, 1.0, 0.5)
+    got = protocol._protocol_states(hybrid, alpha, r)
+    assert tuple(map(len, got.factors)) == tuple(map(len, ref.factors))
+    assert np.array_equal(got.ids, ref.ids)
+
+
 def test_factor_tables_hold_distinct_used_factors():
     state = protocol._protocol_states(HybridType.TYPE_I, 2.0, 0.3)
     assert set(state.factors[0]) == {fock(0), fock(1)}
