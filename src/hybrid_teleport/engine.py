@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
 from itertools import accumulate
-from typing import Iterable, Union
+from typing import Iterable, NamedTuple, Union
 
 import numpy as np
 
@@ -652,22 +652,19 @@ class _ProductSum:
 class KetSum(_ProductSum):
     """Pure state: sum of weighted product kets over the layout's modes."""
 
-    __slots__ = ("_tuples",)
+    __slots__ = ("_structure",)
 
     def _set(self, layout, coeffs, ids, factors):
         super()._set(layout, coeffs, ids, factors)
-        self._tuples = {}
+        self._structure = None
 
-    def tuples(self, modes) -> tuple:
-        """(distinct rows of factor ids on modes, first-seen; each term's row); cached."""
-        modes = tuple(modes)
-        got = self._tuples.get(modes)
-        if got is None:
-            idx = [self.layout.index(m) for m in modes]
-            mat = self.ids[:, idx]
-            first, row = _first_seen(*_row_codes(mat, [len(self.factors[i]) for i in idx]))
-            got = self._tuples[modes] = mat[first], row
-        return got
+    @property
+    def structure(self) -> tuple:
+        """(mode names, table sizes, term count, id bytes): all a plan reads of the sum; derived once."""
+        if self._structure is None:
+            self._structure = (self.layout.names, tuple(map(len, self.factors)), len(self.ids),
+                               np.ascontiguousarray(self.ids, dtype=np.int64).tobytes())
+        return self._structure
 
     def restricted(self, names) -> "KetSum":
         """The same terms and coefficients on the named modes alone."""
@@ -810,9 +807,85 @@ class ModeProjector:
 
     branches: tuple  # tuple of tuples of (mode_name, NumberFilter)
 
+    def __post_init__(self):
+        if not self.branches:
+            raise ValueError("a projector needs at least one branch")
+
 
 # one branch that names no mode: the plain trace of every mode it covers
 NO_PROJECTOR = ModeProjector(((),))
+
+
+# a first-principles point builds six product-sum plans and one weights plan per
+# Choi-ket structure; a full crossval run builds 61 product-sum plans in all
+PLAN_CACHE_SIZE = 128
+
+
+def _read_only(*arrays) -> tuple:
+    for arr in arrays:
+        arr.setflags(write=False)  # shared by every caller of the cache
+    return arrays
+
+
+def _tuples(structure: tuple, modes: tuple) -> tuple:
+    """(distinct rows of factor ids on modes, first-seen; each term's row) of a KetSum.structure."""
+    names, sizes, n, raw = structure
+    idx = [names.index(m) for m in modes]
+    mat = np.frombuffer(raw, dtype=np.int64).reshape(n, len(sizes))[:, idx]
+    first, row = _first_seen(*_row_codes(mat, [sizes[i] for i in idx]))
+    return mat[first], row
+
+
+class _SumPlan(NamedTuple):
+    """All that product_sums reads of one (ket, bra, modes, family) but numbers.
+
+    rows holds the ket's and the bra's distinct tuples of factor ids on the
+    modes, ids each term's tuple.  tables[k] = (ket column, bra column,
+    filter) names one mode's overlap table under one filter; branch i
+    multiplies, over the modes, the entries gather[i, :, t, u] of those
+    tables flattened and concatenated, and projector p sums its branches,
+    starts[p] onward.
+    """
+
+    rows: tuple
+    ids: tuple
+    tables: tuple
+    gather: np.ndarray
+    starts: np.ndarray
+
+    def evaluate(self, ket: KetSum, bra: KetSum, backend: Backend) -> np.ndarray:
+        """S of product_sums for a ket and a bra of the planned structures."""
+        values = np.concatenate([np.zeros(0, dtype=complex)] + [
+            overlap_table(bra.factors[b], filt, ket.factors[k], backend, ket.layout.cutoffs[k])
+            for k, b, filt in self.tables], axis=None)
+        return np.add.reduceat(values[self.gather].prod(axis=1), self.starts, axis=0)
+
+
+@lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _sum_plan(ket: tuple, bra: tuple, modes: tuple, family: tuple) -> _SumPlan:
+    """The plan of product_sums for KetSum structures ket and bra; cached, read-only."""
+    ket_rows, ket_ids = tuples = _tuples(ket, modes)
+    bra_rows, bra_ids = tuples if bra == ket else _tuples(bra, modes)
+    grids, branches, starts = {}, [], []
+    for proj in family:
+        starts.append(len(branches))
+        for branch in proj.branches:
+            filters = dict(branch)
+            branches.append([grids.setdefault((pos, filters.get(mode, FILTER_ALL)), len(grids))
+                             for pos, mode in enumerate(modes)])
+    tables = tuple((ket[0].index(modes[pos]), bra[0].index(modes[pos]), filt) for pos, filt in grids)
+    pos = np.array([pos for pos, _ in grids], dtype=np.intp)
+    n_ket = np.array([ket[1][k] for k, _, _ in tables], dtype=np.int64)
+    n_bra = np.array([bra[1][b] for _, b, _ in tables], dtype=np.int64)
+    # grid k reads its table, <bra factor i|F|ket factor j> at [i, j] flattened
+    # row-major, at [bra tuple u's factor, ket tuple t's factor] for every (t, u)
+    start = np.cumsum(n_bra * n_ket) - n_bra * n_ket
+    grid_at = ((ket_rows.T[pos] + start[:, None])[:, :, None]
+               + (bra_rows.T[pos] * n_ket[:, None])[:, None, :])
+    branches = np.array(branches, dtype=np.intp).reshape(len(branches), len(modes))
+    arrays = _read_only(ket_rows, bra_rows, ket_ids, bra_ids, grid_at[branches],
+                        np.array(starts, dtype=np.intp))
+    return _SumPlan(arrays[:2], arrays[2:4], tables, *arrays[4:])
 
 
 def product_sums(ket: KetSum, bra: KetSum, modes: tuple, family: tuple,
@@ -823,33 +896,81 @@ def product_sums(ket: KetSum, bra: KetSum, modes: tuple, family: tuple,
     over modes of <bra factor|filter|ket factor> on the t-th distinct ket
     and the u-th distinct bra tuple of factor ids on modes; a mode a branch
     leaves unnamed gets FILTER_ALL, so (NO_PROJECTOR,) gives plain overlaps.
-    Each mode's values are one overlap_table over its distinct factors, taken
-    once per filter and gathered onto the tuples by factor ids.
+    The tuples and the table entries each product reads come from a plan
+    cached per structure (_sum_plan); per call, each mode's values are one
+    overlap_table over its distinct factors per filter, gathered by the plan.
     """
-    (ket_rows, ket_ids), (bra_rows, bra_ids) = ket.tuples(modes), bra.tuples(modes)
-    grids = {}
-    sums = np.zeros((len(family), len(ket_rows), len(bra_rows)), dtype=complex)
-    for total, proj in zip(sums, family):
-        for branch in proj.branches:
-            filters = dict(branch)
-            acc = np.ones(total.shape, dtype=complex)
-            for pos, mode in enumerate(modes):
-                filt = filters.get(mode, FILTER_ALL)
-                grid = grids.get((mode, filt))
-                if grid is None:
-                    m = ket.layout.index(mode)
-                    table = overlap_table(bra.factors[bra.layout.index(mode)], filt, ket.factors[m],
-                                          backend, ket.layout.cutoffs[m])
-                    grid = grids[mode, filt] = table[bra_rows[:, pos], ket_rows[:, pos, None]]
-                acc = acc * grid
-            total += acc
-    return ket_ids, bra_ids, sums
+    plan = _sum_plan(ket.structure, bra.structure, tuple(modes), tuple(family))
+    return plan.ids + (plan.evaluate(ket, bra, backend),)
 
 
 def term_overlaps(ket: KetSum, bra: KetSum, backend: Backend) -> np.ndarray:
     """G[i, j] = <bra term j|ket term i> over the ket's modes, coefficients left out."""
     ket_ids, bra_ids, sums = product_sums(ket, bra, ket.layout.names, (NO_PROJECTOR,), backend)
     return sums[0][ket_ids[:, None], bra_ids]
+
+
+class _Cells(NamedTuple):
+    """One side's cells in Contraction.weights, a cell being a (kept product, folded
+    tuple, batched tuple): term t adds to item slot[t] of the flattened (cell,
+    environment tuple) array of the given shape.  Cells are numbered key-major,
+    a key being a (kept product, folded tuple) in code order: fold[key] is its
+    folded tuple, and starts[a] kept product a's first key."""
+
+    slot: np.ndarray
+    shape: tuple
+    fold: np.ndarray
+    starts: np.ndarray
+
+    def sum(self, coeffs: np.ndarray) -> np.ndarray:
+        a = np.zeros(self.shape[0] * self.shape[1], dtype=complex)
+        np.add.at(a, self.slot, coeffs)
+        return a.reshape(self.shape)
+
+
+def _cells(side: int, kept: _SumPlan, fold: _SumPlan, batch: _SumPlan, env: _SumPlan) -> _Cells:
+    """The cells of side 0 (the ket) or 1 (the bra)."""
+    (n_kept, n_fold, n_batch, n_env) = (len(p.rows[side]) for p in (kept, fold, batch, env))
+    codes = kept.ids[side] * n_fold + fold.ids[side]
+    key, n_keys = _groups(codes, n_kept * n_fold)
+    key_codes = np.empty(n_keys, dtype=np.int64)
+    key_codes[key] = codes
+    slot, fold_of, starts = _read_only(
+        (key * n_batch + batch.ids[side]) * n_env + env.ids[side], key_codes % n_fold,
+        np.flatnonzero(np.diff(key_codes // n_fold, prepend=-1)))
+    return _Cells(slot, (n_keys * n_batch, n_env), fold_of, starts)
+
+
+class _WeightsPlan(NamedTuple):
+    """All that Contraction.weights reads of one (ket, bra, keep, families) but numbers:
+    the product-sum plans of the environment and of the batched and the folded
+    family, whether the two families trade places, and each side's cells."""
+
+    env: _SumPlan
+    batch: _SumPlan
+    fold: _SumPlan
+    swap: bool
+    ket_cells: _Cells
+    bra_cells: _Cells
+
+
+@lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _weights_plan(ket: tuple, bra: tuple, keep: tuple, families: tuple) -> _WeightsPlan:
+    """The plan of Contraction.weights for KetSum structures ket and bra; cached, read-only."""
+    named = [tuple(sorted({n for proj in fam for br in proj.branches for n, _ in br}))
+             for fam in families]
+    if set(named[0]) & set(named[1]):
+        raise ValueError("projector families must act on disjoint modes")
+    env = _sum_plan(ket, bra, tuple(m for m in ket[0] if m not in keep + named[0] + named[1]),
+                    (NO_PROJECTOR,))
+    parts = [_sum_plan(ket, bra, modes, fam) for modes, fam in zip(named, families)]
+    # the family with fewer distinct factor tuples is folded
+    swap = math.prod(map(len, parts[0].rows)) < math.prod(map(len, parts[1].rows))
+    batch, fold = parts[::-1] if swap else parts
+    planned = (_sum_plan(ket, bra, keep, (NO_PROJECTOR,)), fold, batch, env)
+    ket_cells = _cells(0, *planned)
+    return _WeightsPlan(env, batch, fold, swap, ket_cells,
+                        ket_cells if bra == ket else _cells(1, *planned))
 
 
 class Contraction:
@@ -864,7 +985,10 @@ class Contraction:
 
     Per-mode values are taken once per distinct factor pair and combined
     on the distinct factor tuples of a mode set; no N_ket * N_bra-term
-    operator is built.
+    operator is built.  What depends only on the kets' structures (factor
+    ids, table sizes), keep and the projectors is planned once and cached
+    (_sum_plan, _weights_plan); a contraction evaluates only numbers: the
+    overlap tables, the coefficient sums and a few array products.
     Factors match exactly, so pass canonicalized kets: only canonicalized()
     turns proportional or near-equal factors into one.
     """
@@ -872,20 +996,17 @@ class Contraction:
     def __init__(self, ket: KetSum, bra: KetSum, keep: Iterable[str], backend: Backend):
         if bra.layout.names != ket.layout.names:
             raise ValueError("layout mismatch")
-        self.ket, self.bra = ket, bra
-        keep = tuple(keep)
+        self.ket, self.bra, self.backend = ket, bra, backend
+        self.keep = keep = tuple(keep)
         lay = ket.layout
-        self.backend = backend
-        self.traced = tuple(n for n in lay.names if n not in keep)
         idx = [lay.index(m) for m in keep]
-        # the distinct kept products, as rows of ket and bra factor ids
         self.keep_layout = lay.subset(keep)
-        self.kept_kets, self.kept_bras = ket.tuples(keep)[0], bra.tuples(keep)[0]
         self.kept_factors = tuple(ket.factors[i] for i in idx) + tuple(bra.factors[i] for i in idx)
-        # Tr of |kept ket a><kept bra b|, and each term's kept product
-        self.ket_kept, self.bra_kept, trace = product_sums(self.ket, self.bra, keep,
-                                                           (NO_PROJECTOR,), backend)
-        self.keep_trace = trace[0]
+        # the distinct kept products, as rows of ket and bra factor ids; each term's kept product
+        plan = _sum_plan(ket.structure, bra.structure, keep, (NO_PROJECTOR,))
+        (self.kept_kets, self.kept_bras), (self.ket_kept, self.bra_kept) = plan.rows, plan.ids
+        # Tr of |kept ket a><kept bra b|
+        self.keep_trace = plan.evaluate(ket, bra, backend)[0]
 
     def weights(self, *families) -> tuple:
         """(prob, W) for every outcome pair of up to two projector families.
@@ -899,45 +1020,35 @@ class Contraction:
         A E B^dag, E the environment's plain-trace table, weighs every cell
         pair, and no N_ket x N_bra array is built.  The family with fewer
         distinct factor tuples is folded; each outcome of the other is one
-        contraction of the cell weights with its branch sums.
+        contraction of the cell weights with its branch sums, over the tuple
+        pairs some outcome reaches.  The structure of all this is planned
+        once per (ket, bra, keep, families) structure (_weights_plan).
         """
         fams = [(f,) if isinstance(f, ModeProjector) else tuple(f) for f in families]
         if len(fams) > 2:
             raise ValueError("at most two projector families")
         fams += [(NO_PROJECTOR,)] * (2 - len(fams))
-        named = [sorted({n for proj in fam for br in proj.branches for n, _ in br}) for fam in fams]
-        if set(named[0]) & set(named[1]):
-            raise ValueError("projector families must act on disjoint modes")
-        env = tuple(m for m in self.traced if m not in named[0] + named[1])
-        *env_ids, plain = product_sums(self.ket, self.bra, env, (NO_PROJECTOR,), self.backend)
-        sums = [product_sums(self.ket, self.bra, modes, fam, self.backend)
-                for modes, fam in zip(named, fams)]
-        swap = sums[0][2][0].size < sums[1][2][0].size
-        (*batch_ids, batch), (*fold_ids, fold) = sums[::-1] if swap else sums
-
-        def cells(s, side, kept, n_kept):
-            # keys (kept product, folded tuple) numbered in code order, so grouped
-            # by kept product; a[(key, batched tuple), environment tuple]
-            n_fold, n_batch = fold.shape[1 + s], batch.shape[1 + s]
-            codes = kept * n_fold + fold_ids[s]
-            key, n_keys = _groups(codes, n_kept * n_fold)
-            key_codes = np.empty(n_keys, dtype=np.int64)
-            key_codes[key] = codes
-            a = np.zeros((n_keys * n_batch, plain.shape[1 + s]), dtype=complex)
-            np.add.at(a, (key * n_batch + batch_ids[s], env_ids[s]), side.coeffs)
-            return np.flatnonzero(np.diff(key_codes // n_fold, prepend=-1)), key_codes % n_fold, a
-
-        ket_starts, ket_fold, a = ket_cells = cells(0, self.ket, self.ket_kept, len(self.kept_kets))
-        bra_starts, bra_fold, b = (ket_cells if self.bra is self.ket else
-                                   cells(1, self.bra, self.bra_kept, len(self.kept_bras)))
-        pairs = (a @ plain[0] @ b.conj().T).reshape(len(ket_fold), batch.shape[1],
-                                                    len(bra_fold), batch.shape[2])
-        staged = np.einsum("ktlu,itu->ikl", pairs, batch)
+        ket, bra, backend = self.ket, self.bra, self.backend
+        plan = _weights_plan(ket.structure, bra.structure, self.keep, tuple(fams))
+        plain = plan.env.evaluate(ket, bra, backend)[0]
+        batch, fold = plan.batch.evaluate(ket, bra, backend), plan.fold.evaluate(ket, bra, backend)
+        a = plan.ket_cells.sum(ket.coeffs)
+        b = a if bra is ket else plan.bra_cells.sum(bra.coeffs)
+        ket_fold, bra_fold = plan.ket_cells.fold, plan.bra_cells.fold
+        # staged[i, k, l] = sum_tu batch[i, t, u] (A E B^dag)[(k, t), (l, u)], over the tuple
+        # pairs (t, u) that some batched outcome reaches (photon counts pair few of them)
+        (n_out, n_ket, n_bra), n_env = batch.shape, plain.shape[1]
+        t, u = np.nonzero(np.any(batch, axis=0))
+        left = (a @ plain).reshape(len(ket_fold), n_ket, n_env)[:, t].transpose(1, 0, 2)
+        right = b.conj().reshape(len(bra_fold), n_bra, n_env)[:, u].transpose(1, 2, 0)
+        keys = len(ket_fold), len(bra_fold)
+        staged = (batch[:, t, u] @ (left @ right).reshape(len(t), math.prod(keys))).reshape(
+            n_out, *keys)
         # times each folded outcome's branch sum, summed onto the kept products
-        w = staged[:, None] * fold[:, ket_fold][:, :, bra_fold]
-        for axis, starts in ((2, ket_starts), (3, bra_starts)):
+        w = staged[:, None] * fold[:, ket_fold[:, None], bra_fold]
+        for axis, starts in ((2, plan.ket_cells.starts), (3, plan.bra_cells.starts)):
             w = np.add.reduceat(w, starts, axis=axis) if len(starts) else w
-        if swap:
+        if plan.swap:
             w = w.swapaxes(0, 1)
         return np.einsum("ijab,ab->ij", w, self.keep_trace), w
 
@@ -950,26 +1061,6 @@ class Contraction:
         """(Tr[P rho], unnormalized TermSum on the kept modes), as weights()."""
         prob, weights = self.weights(*projectors)
         return complex(prob[0, 0]), self.operator(weights[0, 0])
-
-    def kept_overlaps(self, kets) -> tuple:
-        """(A, B) with A[p, a] = <kets[p]|kept ket a>, B[b, q] = <kept bra b|kets[q]>.
-
-        kets are KetSums on the kept modes: <kets[p]|operator(W)|kets[q]>
-        is then (A @ W @ B)[p, q] for every W from weights().
-        """
-        reads = KetSum.summed(kets)
-        owner = np.repeat(np.arange(len(kets)), [len(psi.coeffs) for psi in kets])
-        # mix[p, j]: read term j's coefficient if it belongs to kets[p]
-        mix = np.eye(len(kets))[owner].T * reads.coeffs
-
-        def brakets(side):
-            # rows of S are side's distinct kept tuples: the order of kept_kets/kept_bras
-            _, ids, sums = product_sums(side, reads, reads.layout.names, (NO_PROJECTOR,),
-                                        self.backend)
-            return mix.conj() @ sums[0][:, ids].T
-
-        left = brakets(self.ket)
-        return left, (left if self.bra is self.ket else brakets(self.bra)).conj().T
 
 
 def gram_eigvals(state: TermSum, backend: Backend) -> np.ndarray:

@@ -199,11 +199,3 @@ def correction_lookup(hybrid: HybridType, outcome: OutcomeLabel) -> str:
         else _TYPE_II_CORRECTIONS
     )
     return table.get((outcome.s_outcome, outcome.alpha_outcome), FAIL)
-
-
-def success_outcomes(hybrid: HybridType) -> tuple:
-    return tuple(
-        lab
-        for lab in enumerate_outcomes(hybrid)
-        if correction_lookup(hybrid, lab) != FAIL
-    )

@@ -21,7 +21,6 @@ import numpy as np
 from .encoding import (
     LOGICAL_PAULI,
     R_FACTORS,
-    R_KETS,
     BlochAngles,
     DynamicBasis,
     HybridType,
@@ -166,6 +165,22 @@ class OutcomeTensors:
                                   products, tables + tables)
 
 
+@lru_cache(maxsize=2)
+def _analyzers(hybrid: HybridType) -> tuple:
+    """(labels, corrections, the two analyzers' projector families, success indices, their
+    stacked LOGICAL_PAULI corrections): the constants of outcome_tensors, once per type."""
+    labels = enumerate_outcomes(hybrid)
+    corrections = tuple(correction_lookup(hybrid, label) for label in labels)
+    families = (
+        tuple(projector(ProjectorSpec(s_family(hybrid), s)) for s in S_OUTCOME_ORDER),
+        tuple(projector(ProjectorSpec(MeasurementFamily.B_ALPHA, a)) for a in ALPHA_OUTCOME_ORDER),
+    )
+    success = [n for n, correction in enumerate(corrections) if correction != FAIL]
+    paulis = np.array([LOGICAL_PAULI[corrections[n]] for n in success])
+    paulis.setflags(write=False)
+    return labels, corrections, families, success, paulis
+
+
 @lru_cache(maxsize=256)
 def outcome_tensors(
     hybrid: HybridType, alpha: float, r: float, backend: Backend
@@ -177,49 +192,49 @@ def outcome_tensors(
     pair and both analyzers' outcome families: rho_xy is the R-block (x, y)
     of the kept-mode weights W.  Every Pauli correction C maps Bob's logical
     kets onto +/- each other (LOGICAL_PAULI), so fid = U L U^dag with L[x,
-    y, p, q] = <x|_R <p_L| W |y>_R |q_L> read as A W B; no correction is
-    applied here.  prob[x, y] is rho_xy's trace, from W and Bob's Gram matrix.
+    y, p, q] = <x|_R <p_L| W |y>_R |q_L> read as A W A^dag, for every success
+    at once; no correction is applied here.  prob[x, y] is rho_xy's trace,
+    from W and Bob's Gram matrix.  The contraction's plans are built at the
+    first point of a structure and reused after (engine._sum_plan).
     """
-    labels = enumerate_outcomes(hybrid)
-    corrections = [correction_lookup(hybrid, label) for label in labels]
-    families = (
-        [projector(ProjectorSpec(s_family(hybrid), s)) for s in S_OUTCOME_ORDER],
-        [projector(ProjectorSpec(MeasurementFamily.B_ALPHA, a)) for a in ALPHA_OUTCOME_ORDER],
-    )
+    labels, corrections, families, success, paulis = _analyzers(hybrid)
     basis = DynamicBasis(alpha, LossParameter(r))
     bob_kets = [logical_ket(hybrid, bit, basis, "c") for bit in (0, 1)]
     bob = bob_kets[0].layout
     choi = _protocol_states(hybrid, alpha, r)
     contraction = Contraction(choi, choi, ("R",) + bob.names, backend)
-    left, right = contraction.kept_overlaps([ref.tensor(ket) for ref in R_KETS for ket in bob_kets])
     _, weights = contraction.weights(*families)
     # labels are s-major, alpha-minor: outcome pair (i, j) is label i * n_alpha + j
     weights = weights.reshape(len(labels), *weights.shape[2:])
-    # (left W right)[(x, p), (y, q)] = <x|_R <p_L| rho |y>_R |q_L>
-    logical = (left @ weights @ right).reshape(len(labels), 2, 2, 2, 2).swapaxes(2, 3)
     # the Choi state meets itself, so the kept kets and bras are the same
     # products; each is |x>_R times a Bob product, and rho_xy is the R-block
-    # (x, y) of W: read with R's column dropped
-    width = len(contraction.keep_layout.names)
+    # (x, y) of W: read on Bob's modes, with R's column dropped
     products = contraction.kept_kets
     r_value = np.array([R_FACTORS.index(k) for k in contraction.kept_factors[0]])[products[:, 0]]
-    bob_rows, bob_tables = products[:, 1:], contraction.kept_factors[1:width]
+    bob_rows, bob_tables = products[:, 1:], contraction.kept_factors[1:1 + len(bob.names)]
     in_block = (r_value == np.arange(2)[:, None]).astype(float)
     bobs = KetSum.from_arrays(bob, np.ones(len(products), dtype=complex), bob_rows, bob_tables)
+    # read[p, a] = <p_L|Bob product a>, summed over the terms of p_L
+    reads = KetSum.summed(bob_kets)
+    mix = np.repeat(np.eye(2), [len(ket.coeffs) for ket in bob_kets], axis=1) * reads.coeffs
+    read = mix.conj() @ term_overlaps(bobs, reads, backend).T
+    # left[(x, p), a] = <x|_R <p_L| kept product a>, so that
+    # (left W left^dag)[(x, p), (y, q)] = <x|_R <p_L| rho |y>_R |q_L>
+    left = (in_block[:, None] * read).reshape(4, len(products))
+    logical = (left @ weights[success] @ left.conj().T).reshape(len(success), 2, 2, 2, 2)
+    fids = np.einsum("npr,nxyrs,nqs->nxypq", paulis, logical.swapaxes(2, 3), paulis.conj())
+    fids.setflags(write=False)
     prob = in_block @ (weights * term_overlaps(bobs, bobs, backend)) @ in_block.T
     prob.setflags(write=False)
 
-    out = []
+    out, fids = [], iter(fids)
     for n, (label, correction) in enumerate(zip(labels, corrections)):
         if correction == FAIL:
             out.append(OutcomeTensors(label, correction, prob[n], None, None))
             continue
-        u = LOGICAL_PAULI[correction]
-        fid = np.einsum("pr,xyrs,qs->xypq", u, logical[n], u.conj())
         w_n = weights[n].copy()  # a copy, so that the other outcomes' weights are freed
-        for arr in (fid, w_n):
-            arr.setflags(write=False)
-        out.append(OutcomeTensors(label, correction, prob[n], fid,
+        w_n.setflags(write=False)
+        out.append(OutcomeTensors(label, correction, prob[n], next(fids),
                                   (w_n, r_value, bob, bob_rows, bob_tables)))
     return tuple(out)
 

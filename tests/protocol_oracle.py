@@ -68,7 +68,8 @@ def dense_weights(contraction: Contraction, *families) -> tuple:
     fams += [(NO_PROJECTOR,)] * (2 - len(fams))
     named = [sorted({n for proj in fam for br in proj.branches for n, _ in br}) for fam in fams]
     ket, bra, backend = contraction.ket, contraction.bra, contraction.backend
-    env = tuple(m for m in contraction.traced if m not in named[0] + named[1])
+    env = tuple(m for m in ket.layout.names
+                if m not in contraction.keep and m not in named[0] + named[1])
     env_k, env_b, plain = product_sums(ket, bra, env, (NO_PROJECTOR,), backend)
     q = np.outer(ket.coeffs, bra.coeffs.conj()) * plain[0][env_k[:, None], env_b]
     sums = [product_sums(ket, bra, modes, fam, backend) for modes, fam in zip(named, fams)]
@@ -111,13 +112,11 @@ def outcome_tensors(hybrid, alpha: float, r: float, backend) -> list:
     rhos = [{} for _ in labels]
     for x, y in ((0, 0), (0, 1), (1, 1)):
         contraction = Contraction(states[x], states[y], bob_kets[0].layout.names, backend)
-        left, right = contraction.kept_overlaps(bob_kets)
         probs, weights = dense_weights(contraction, *families)
         prob[:, x, y] = probs.reshape(-1)
-        weights = weights.reshape(len(labels), *weights.shape[2:])
-        logical[:, x, y] = left @ weights @ right
-        for n, w in enumerate(weights):
-            rhos[n][x, y] = contraction.operator(w)
+        for n, w in enumerate(weights.reshape(len(labels), *weights.shape[2:])):
+            rhos[n][x, y] = rho = contraction.operator(w)
+            logical[n, x, y] = [[rho.matrix_element(p, q, backend) for q in bob_kets] for p in bob_kets]
     # rho_10 = rho_01^dag
     prob[:, 1, 0] = prob[:, 0, 1].conj()
     logical[:, 1, 0] = logical[:, 0, 1].conj().swapaxes(-1, -2)

@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from hybrid_teleport import engine
 from hybrid_teleport.engine import (
     BS_THETA,
     COHERENT_ALGEBRA,
@@ -31,6 +32,8 @@ from hybrid_teleport.engine import (
     KetSum,
     ModeLayout,
     ModeProjector,
+    NO_PROJECTOR,
+    PLAN_CACHE_SIZE,
     NumberFilter,
     Role,
     TermSum,
@@ -44,6 +47,8 @@ from hybrid_teleport.engine import (
     normalize_ket,
     overlap,
     overlap_table,
+    product_sums,
+    term_overlaps,
     trace_distance,
 )
 from hybrid_teleport.measurement import FILTER_DOUBLE
@@ -610,7 +615,6 @@ class TestContraction:
             KetSum(kept, [(0.6, (fock(0),)), (0.8j, (FockVector((0.0, 2.0)),))]),
             KetSum(kept, [(1.0, (FockVector((0.3, -0.4)),))]),
         ]
-        left, right = contraction.kept_overlaps(reads)
         vecs = np.array([dense_ket(k) for k in reads])
         for cell in np.ndindex(probs.shape):
             projs = [fam[i] for fam, i in zip(families, cell)]
@@ -630,9 +634,11 @@ class TestContraction:
             else:
                 assert 0.0 < prob.real
             assert np.allclose(dense_operator(reduced), want_reduced, atol=1e-10)
-            # matrix elements read from the weights, between multi-term kept kets
+            # matrix elements of the weights' operator, between multi-term kept kets
             want = vecs.conj() @ want_reduced @ vecs.T
-            assert np.allclose(left @ weights[cell] @ right, want, atol=1e-10)
+            got = [[contraction.operator(weights[cell]).matrix_element(p, q, backend) for q in reads]
+                   for p in reads]
+            assert np.allclose(got, want, atol=1e-10)
 
     # small factor pools, so that drawn terms share kept products, branch
     # tuples and environment tuples
@@ -727,3 +733,71 @@ class TestContraction:
         other = phi.dm() + scaled.dm().scaled(0.3)
         want = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(dense - dense_operator(other))))
         assert abs(trace_distance(op, other, backend) - want) < 1e-10
+
+
+def plan_arrays(plan) -> list:
+    """Every array a plan holds, through its nested plans, tuples and cells."""
+    if isinstance(plan, np.ndarray):
+        return [plan]
+    if isinstance(plan, (tuple, list)):
+        return [arr for item in plan for arr in plan_arrays(item)]
+    return []
+
+
+class TestPlans:
+    """The structure-only plans behind product_sums and Contraction.weights."""
+
+    def test_plan_caches_are_bounded(self):
+        for cache in (engine._sum_plan, engine._weights_plan):
+            assert cache.cache_info().maxsize == PLAN_CACHE_SIZE
+        # one structure per term count: the cache keeps the most recent PLAN_CACHE_SIZE
+        lay = ModeLayout(("p",), (3,), (Role.PHOTONIC,))
+        engine._sum_plan.cache_clear()
+        for n in range(1, PLAN_CACHE_SIZE + 6):
+            psi = KetSum(lay, [(1.0, (fock(k % 3),)) for k in range(n)])
+            term_overlaps(psi, psi, COHERENT_ALGEBRA)
+        info = engine._sum_plan.cache_info()
+        assert info.misses == PLAN_CACHE_SIZE + 5 and info.currsize == PLAN_CACHE_SIZE
+
+    def test_plan_arrays_are_read_only(self):
+        # plans are shared by every contraction of their structure, as
+        # overlap_table's tables are by every caller
+        case = TestContraction()
+        psi, phi = case._psi(), case._phi()
+        families = [[ModeProjector(table) for table in fam] for fam in case.FAMILIES["families"]]
+        Contraction(psi, phi, ("p",), COHERENT_ALGEBRA).weights(*families)
+        ket_ids, bra_ids, _ = product_sums(psi, phi, ("q", "C"), families[0], COHERENT_ALGEBRA)
+        plans = [engine._sum_plan(psi.structure, phi.structure, ("q", "C"), tuple(families[0])),
+                 engine._weights_plan(psi.structure, phi.structure, ("p",),
+                                      tuple(map(tuple, families)))]
+        arrays = [ket_ids, bra_ids] + plan_arrays(plans)
+        assert len(arrays) > 20
+        for arr in arrays:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[...] = 0
+
+    def test_plan_reads_only_structure(self):
+        # two kets with the same factor ids and table sizes but other factors
+        # and coefficients share one plan, and each gets its own numbers
+        case = TestContraction()
+        psi = case._psi()
+        phi = KetSum(case.LAYOUT, [
+            (0.2, (FockVector((0.5, 1.0)), fock(0), Coherent(0.3))),
+            (0.7j, (fock(1), FockVector((0.6, 0.8)), Coherent(-1.1))),
+            (0.4, (fock(0), fock(1), Coherent(0.5j))),
+            (-0.3, (fock(0), fock(2), Coherent(0.7))),
+        ])
+        assert psi.structure == phi.structure
+        engine._weights_plan.cache_clear()
+        for ket in (psi, phi, psi):
+            got = Contraction(ket, ket, ("p",), COHERENT_ALGEBRA).weights(TRACE)
+            want = dense_weights(Contraction(ket, ket, ("p",), COHERENT_ALGEBRA), TRACE)
+            assert np.allclose(got[0], want[0], rtol=0.0, atol=1e-14)
+            assert np.allclose(got[1], want[1], rtol=0.0, atol=1e-14)
+        assert engine._weights_plan.cache_info().misses == 1
+
+    def test_projector_needs_a_branch(self):
+        with pytest.raises(ValueError, match="branch"):
+            ModeProjector(())
+        assert NO_PROJECTOR.branches == ((),)

@@ -24,7 +24,7 @@ from hybrid_teleport.engine import (
     trace_distance,
 )
 from hybrid_teleport.loss import LossParameter, damp_mode
-from hybrid_teleport.measurement import success_outcomes
+from hybrid_teleport.measurement import FAIL, correction_lookup, enumerate_outcomes
 from hybrid_teleport.protocol import DEFAULT_QUADRATURE, SphereQuadrature
 
 ANGLES = BlochAngles(1.1, 2.3)
@@ -144,7 +144,8 @@ class TestGroups:
             for g in formulas.OUTCOME_GROUPS
             for m in g.members
         ]
-        succ = [(o.s_outcome, o.alpha_outcome) for o in success_outcomes(HybridType.TYPE_II)]
+        succ = [(o.s_outcome, o.alpha_outcome) for o in enumerate_outcomes(HybridType.TYPE_II)
+                if correction_lookup(HybridType.TYPE_II, o) != FAIL]
         assert sorted(members) == sorted(succ)
         assert len(members) == 14
 

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from hybrid_teleport.encoding import HybridType, correction_is_relabel
+from hybrid_teleport.encoding import LOGICAL_PAULI, HybridType, correction_is_relabel
 from hybrid_teleport.engine import (
     COHERENT_ALGEBRA,
     Coherent,
@@ -26,10 +26,14 @@ from hybrid_teleport.measurement import (
     enumerate_outcomes,
     projector,
     s_family,
-    success_outcomes,
 )
 
 HYBRIDS = (HybridType.TYPE_I, HybridType.TYPE_II)
+
+
+def successes(hybrid):
+    """The outcomes with a correction, in enumeration order."""
+    return [lab for lab in enumerate_outcomes(hybrid) if correction_lookup(hybrid, lab) != FAIL]
 
 
 class TestLabels:
@@ -59,22 +63,21 @@ class TestLabels:
 
 class TestCorrectionTables:
     def test_success_counts(self):
-        assert len(success_outcomes(HybridType.TYPE_I)) == 10
-        assert len(success_outcomes(HybridType.TYPE_II)) == 14
+        assert len(successes(HybridType.TYPE_I)) == 10
+        assert len(successes(HybridType.TYPE_II)) == 14
 
     @pytest.mark.parametrize("hybrid", HYBRIDS)
     def test_fail_complement(self, hybrid):
-        succ = set(success_outcomes(hybrid))
-        for lab in enumerate_outcomes(hybrid):
-            corr = correction_lookup(hybrid, lab)
-            assert (corr != FAIL) == (lab in succ)
+        # every outcome is either a failure or corrected by a logical Pauli
+        corrections = {correction_lookup(hybrid, lab) for lab in enumerate_outcomes(hybrid)}
+        assert corrections == {FAIL} | set(LOGICAL_PAULI)
 
     @pytest.mark.parametrize("hybrid", HYBRIDS)
     def test_paulis_balanced(self, hybrid):
         # each Pauli sector must be reachable, with I/Z and X/XZ splitting
         # the successes evenly
         counts = {"I": 0, "X": 0, "Z": 0, "XZ": 0}
-        for lab in success_outcomes(hybrid):
+        for lab in successes(hybrid):
             counts[correction_lookup(hybrid, lab)] += 1
         assert counts["I"] + counts["Z"] == counts["X"] + counts["XZ"]
         assert all(v > 0 for v in counts.values())
@@ -103,7 +106,7 @@ class TestCorrectionTables:
 
     def test_relabel_flags_match_corrections(self):
         for hybrid in HYBRIDS:
-            for lab in success_outcomes(hybrid):
+            for lab in successes(hybrid):
                 corr = correction_lookup(hybrid, lab)
                 flag = correction_is_relabel(hybrid, corr)
                 assert flag == (hybrid is HybridType.TYPE_II and "Z" in corr)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hybrid_teleport import formulas, protocol
+from hybrid_teleport import engine, formulas, protocol
 from hybrid_teleport.encoding import (
     LOGICAL_PAULI,
     BlochAngles,
@@ -24,7 +24,7 @@ from hybrid_teleport.engine import (
     trace_distance,
 )
 from hybrid_teleport.loss import LossParameter
-from hybrid_teleport.measurement import FAIL, success_outcomes
+from hybrid_teleport.measurement import FAIL, correction_lookup, enumerate_outcomes
 from hybrid_teleport.protocol import (
     NonFiniteError,
     SphereQuadrature,
@@ -94,7 +94,7 @@ class TestLossless:
     @pytest.mark.parametrize("hybrid", HYBRIDS)
     def test_success_outcomes_teleport_perfectly(self, hybrid):
         report = teleport_once(hybrid, 1.0, LossParameter(0.0), ANGLES)
-        succ = set(success_outcomes(hybrid))
+        succ = {lab for lab in enumerate_outcomes(hybrid) if correction_lookup(hybrid, lab) != FAIL}
         for e in report.entries:
             if e.label in succ and e.probability > 1e-12:
                 assert abs(e.fidelity - 1.0) < 1e-10, e.label
@@ -381,6 +381,59 @@ class TestChoiContraction:
         for hybrid in HYBRIDS:
             average_fidelity(hybrid, 1.3, LossParameter(0.45))
             average_success(hybrid, 1.3, LossParameter(0.45))
+
+
+def clear_caches():
+    """Empty every lru cache of engine and protocol: the next point is built from scratch."""
+    for module in (engine, protocol):
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+
+
+def tensor_bytes(tensors) -> list:
+    return [(data.prob.tobytes(), None if data.fid is None else data.fid.tobytes())
+            for data in tensors]
+
+
+# below r of about 7e-7 the Choi ket passes through intermediate structures on
+# its way to the r = 0 one
+TINY_R = (0.0, 1e-13, 1e-9, 2.5e-7, 5e-7, 7.5e-7, 1e-6, 1e-5)
+
+
+class TestContractionPlan:
+    @given(st.sampled_from(HYBRIDS), st.floats(0.1, 30.0), st.floats(1e-5, 0.98))
+    @example(HybridType.TYPE_I, 30.0, 0.98)
+    @example(HybridType.TYPE_II, 0.1, 1e-5)
+    @settings(max_examples=20, deadline=None)
+    def test_reused_plan_matches_fresh_build(self, hybrid, alpha, r):
+        # every r > 0 has its type's one structure: the plans built at
+        # (1, 0.5) serve the point, which then evaluates only numbers, bit for
+        # bit as a point built with every cache empty
+        outcome_tensors(hybrid, 1.0, 0.5, COHERENT_ALGEBRA)
+        built = engine._sum_plan.cache_info().misses, engine._weights_plan.cache_info().misses
+        warm = tensor_bytes(outcome_tensors.__wrapped__(hybrid, alpha, r, COHERENT_ALGEBRA))
+        assert (engine._sum_plan.cache_info().misses,
+                engine._weights_plan.cache_info().misses) == built
+        clear_caches()
+        assert tensor_bytes(outcome_tensors(hybrid, alpha, r, COHERENT_ALGEBRA)) == warm
+
+    @pytest.mark.parametrize("backend", [COHERENT_ALGEBRA, TRUNCATED_FOCK], ids=lambda b: b.kind)
+    def test_plans_never_cross_structures(self, backend):
+        # 48 points of 9 structures, run in one pass with warm caches: each
+        # structure builds its own plan once, and every point matches its
+        # value from a fresh build
+        points = [(hybrid, alpha, r) for hybrid in HYBRIDS for alpha in (0.1, 1.0, 30.0)
+                  for r in TINY_R]
+        fresh = []
+        for point in points:
+            clear_caches()
+            fresh.append(tensor_bytes(outcome_tensors(*point, backend)))
+        clear_caches()
+        assert [tensor_bytes(outcome_tensors(*point, backend)) for point in points] == fresh
+        structures = {protocol._protocol_states(*point).structure for point in points}
+        assert len(structures) == 9
+        assert engine._weights_plan.cache_info().misses == len(structures)
 
 
 def grid_averages(p_sum, f_sum, quad):
