@@ -53,22 +53,22 @@ class SweepConfig:
     def validate(self) -> "SweepConfig":
         if not self.types:
             raise ConfigError("no hybrid type selected")
-        if not self.alphas or any(a <= 0 for a in self.alphas):
-            raise ConfigError("alpha values must be positive")
+        if not self.alphas or not all(0 < a < math.inf for a in self.alphas):
+            raise ConfigError("alpha values must be positive and finite")
         if not 0.0 <= self.r_min < 1.0 or not 0.0 <= self.r_max < 1.0:
             raise ConfigError("r grid must lie in [0, 1)")
         if self.r_max < self.r_min:
             raise ConfigError("r-max is below r-min")
-        if self.r_step <= 0:
-            raise ConfigError("r-step must be positive")
+        if not 0 < self.r_step < math.inf:
+            raise ConfigError("r-step must be positive and finite")
         if self.engine not in ENGINES:
             raise ConfigError(f"unknown engine {self.engine!r}")
         if self.quad_u < 1 or self.quad_v < 1:
             raise ConfigError("quadrature sizes must be positive")
         if self.fmt not in ("csv", "json"):
             raise ConfigError(f"unknown format {self.fmt!r}")
-        if self.tolerance < 0:
-            raise ConfigError("tolerance must be nonnegative")
+        if not 0 <= self.tolerance < math.inf:
+            raise ConfigError("tolerance must be nonnegative and finite")
         return self
 
     def quadrature(self) -> SphereQuadrature:
@@ -185,7 +185,7 @@ def run_sweep(config: SweepConfig) -> list:
                 where = f"type={hybrid.value} alpha={alpha:g} r={r:g}"
                 try:
                     fid, suc = _sweep_point(hybrid, alpha, r, config)
-                except CutoffInsufficientError as exc:
+                except (CutoffInsufficientError, OverflowError) as exc:
                     raise RuntimeError(
                         f"numeric failure in {config.engine} at {where}: {exc}"
                     ) from exc

@@ -32,7 +32,6 @@ from .engine import (
 )
 from .loss import LossParameter, damp_mode, damp_modes, decohered_channel, dilate
 from .protocol import (
-    SphereQuadrature,
     average_fidelity,
     average_success,
     group_statistics,
@@ -194,11 +193,9 @@ def check_group_sum_identity(
 def check_closed_vs_simulated(
     alphas=(1.0, 2.0),
     rs=tuple(round(0.1 * k, 1) for k in range(10)),
-    quad: SphereQuadrature | None = None,
     tolerance: float = 1e-6,
 ) -> CheckResult:
-    """Averaged fidelity and success: closed forms (exact unless a rule is
-    given) vs the exact protocol engine."""
+    """Averaged fidelity and success: exact closed forms vs the exact protocol engine."""
     worst = 0.0
     for alpha in alphas:
         for r in rs:
@@ -209,7 +206,7 @@ def check_closed_vs_simulated(
                     worst,
                     abs(
                         average_fidelity(hybrid, alpha, loss)
-                        - formulas.average_fidelity(hybrid, alpha, t, quad)
+                        - formulas.average_fidelity(hybrid, alpha, t)
                     ),
                     abs(
                         average_success(hybrid, alpha, loss)

@@ -312,7 +312,11 @@ _SUPPORTED_COMBOS = {
 
 def bell_decomposition_table(hybrid: HybridType, alpha: float, angles,
                              backend: Backend = COHERENT_ALGEBRA) -> list:
-    """bell_decomposition_details for each input of angles, from one run per Bell bra.
+    """Per input of angles, per Bell-pair combination: (probability, corrected-state deviation).
+
+    Supported combinations must return the input state after correction;
+    the rest must carry zero probability, and their deviation is None, as
+    it is below probability 1e-14.
 
     The input slot holds a Choi ket, so one run serves every input: per Bell
     bra, one beam splitter and one contraction keeping R and Bob's modes
@@ -365,18 +369,8 @@ def bell_decomposition_table(hybrid: HybridType, alpha: float, angles,
             for k in range(len(m))]
 
 
-def bell_decomposition_details(hybrid: HybridType, alpha: float, angles: BlochAngles,
-                               backend: Backend = COHERENT_ALGEBRA) -> dict:
-    """Per Bell-pair combination: (probability, corrected-state deviation) for one input.
-
-    Supported combinations must return the input state after correction;
-    the rest must carry zero probability, and their deviation is None, as
-    it is below probability 1e-14."""
-    return bell_decomposition_table(hybrid, alpha, [angles], backend)[0]
-
-
 def bell_residual(details: dict) -> float:
-    """Max residual of one input's Bell details (0 iff the decomposition holds): the
+    """Max residual of one input's bell_decomposition_table row (0 iff the decomposition holds): the
     supported combinations' deviations and the other ones' (should-be-zero) probabilities."""
     return max([0.0] + [dev if combo in _SUPPORTED_COMBOS else prob
                         for combo, (prob, dev) in details.items()
@@ -385,8 +379,8 @@ def bell_residual(details: dict) -> float:
 
 def bell_decomposition_check(hybrid: HybridType, alpha: float, angles: BlochAngles,
                              backend: Backend = COHERENT_ALGEBRA) -> float:
-    """bell_residual of one input's bell_decomposition_details."""
-    return bell_residual(bell_decomposition_details(hybrid, alpha, angles, backend))
+    """bell_residual of one input's bell_decomposition_table row."""
+    return bell_residual(bell_decomposition_table(hybrid, alpha, [angles], backend)[0])
 
 
 def _partial_inner(bras: list, psi: KetSum, backend: Backend) -> list:

@@ -295,12 +295,6 @@ FILTER_EVEN_GE2 = NumberFilter("even_ge2")
 FILTER_ALL = NumberFilter("all")
 
 
-def _coherent_head(amplitude: complex, top: int) -> list:
-    """Fock coefficients 0..top of |amplitude>, exp(-|a|^2/2) a^n / sqrt(n!) as a running product."""
-    return list(accumulate(range(1, top + 1), lambda c, n: c * amplitude / math.sqrt(n),
-                           initial=math.exp(-0.5 * abs(amplitude) ** 2)))
-
-
 def _coherent_pairs(g: np.ndarray, filt: NumberFilter, d: np.ndarray) -> np.ndarray:
     """<g|F|d> in closed form over broadcast amplitude arrays; |g|, |d| and conj(g) d in real
     arithmetic, rounded as for one complex pair (a + z cancels to ulps of |g|^2 near g = d)."""
@@ -337,7 +331,7 @@ def overlap_table(bras: tuple, filt: NumberFilter, kets: tuple, backend: Backend
             top, rows = cutoff, [ket_vector(k, cutoff) for k in factors]
         else:
             top = max([0] + [k.degree for k in factors if isinstance(k, FockVector)])
-            rows = [_coherent_head(k.amplitude, top) if isinstance(k, Coherent)
+            rows = [_coherent_coeffs(k.amplitude, top)[0] if isinstance(k, Coherent)
                     else k.coeffs[: top + 1] + (0.0,) * (top + 1 - len(k.coeffs)) for k in factors]
         mat = np.array(rows, dtype=complex).reshape(len(factors), top + 1)
         table = mat[:nb].conj() @ (filt.mask(top + 1) * mat[nb:]).T
@@ -410,7 +404,7 @@ def _bs_sectors(ci: int, cj: int, top: int, theta: float) -> tuple:
 def _bs_pair(
     ki: LocalKet, kj: LocalKet, ci: int, cj: int, theta: float = BS_THETA
 ) -> tuple:
-    """Transform a two-mode product ket; returns ((scalar, ket_i, ket_j), ...).
+    """Transform a two-mode product ket; returns its pieces ((ket_i, ket_j), ...).
 
     Coherent pairs stay a single product via the closed-form rule
     |g>|d> -> |cos(theta) g + sin(theta) d>|cos(theta) d - sin(theta) g>;
@@ -421,7 +415,7 @@ def _bs_pair(
     if isinstance(ki, Coherent) and isinstance(kj, Coherent):
         g, d = ki.amplitude, kj.amplitude
         c, s = math.cos(theta), math.sin(theta)
-        return ((1.0 + 0.0j, Coherent(c * g + s * d), Coherent(c * d - s * g)),)
+        return ((Coherent(c * g + s * d), Coherent(c * d - s * g)),)
     # sectors above the factors' summed degrees are empty
     top = sum(c if isinstance(k, Coherent) else max(k.degree, 0) for k, c in ((ki, ci), (kj, cj)))
     rot, n, m, inside, clipped = _bs_sectors(ci, cj, min(top, ci + cj), theta)
@@ -437,7 +431,7 @@ def _bs_pair(
     out = np.zeros((ci + 1, cj + 1), dtype=complex)
     out[n, m] = res[inside]
     rows = np.flatnonzero(np.any(np.abs(out) > DROP_TOL, axis=1))
-    return tuple((1.0 + 0.0j, fock(r), FockVector(out[r].tolist())) for r in rows.tolist())
+    return tuple((fock(r), FockVector(out[r].tolist())) for r in rows.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -470,24 +464,6 @@ def _groups(codes: np.ndarray, bound: int) -> tuple:
     present[codes] = True
     rank = np.cumsum(present)
     return rank[codes] - 1, int(rank[-1]) if bound else 0
-
-
-def _first_seen(codes: np.ndarray, bound: int) -> tuple:
-    """(where each distinct code first occurs, in first-seen order; each entry's rank in that order).
-
-    codes lie below bound; ones spread much wider than their count are
-    grouped first, so that a table over the codes stays short.
-    """
-    n = len(codes)
-    if bound > 4 * n + 1024:
-        codes, bound = _groups(codes, bound)
-    at = np.arange(n)
-    first_at = np.full(bound, n)
-    np.minimum.at(first_at, codes, at)
-    first = np.flatnonzero(first_at[codes] == at)
-    rank = np.empty(bound, dtype=np.int64)
-    rank[codes[first]] = np.arange(len(first))
-    return first, rank[codes]
 
 
 def _intern(rows, width: int) -> tuple:
@@ -555,28 +531,22 @@ class _ProductSum:
 
     @classmethod
     def summed(cls, parts: Iterable):
-        """The sum of parts on one layout: their terms in order, their tables merged in one pass.
-
-        The first part's tables stay as they are and the later parts' new
-        factors go after them, so a factor a table holds twice keeps both places.
-        """
-        first, *rest = parts = list(parts)
-        if any(p.layout.names != first.layout.names for p in rest):
+        """The sum of parts on one layout: their terms in order, each column's tables
+        merged in one dict pass into the distinct factors (exact equality), first seen first."""
+        parts = list(parts)
+        layout = parts[0].layout
+        if any(p.layout.names != layout.names for p in parts):
             raise ValueError("layout mismatch")
-        tables, remap = [], []
-        for mine, *theirs in zip(first.factors, *(p.factors for p in rest)):
-            index = dict(zip(mine, range(len(mine))))
-            new = dict.fromkeys(k for column in theirs for k in column if k not in index)
-            index.update(zip(new, range(len(mine), len(mine) + len(new))))
-            tables.append(tuple(mine) + tuple(new))
-            remap += [index[k] for column in theirs for k in column]
-        # remap lists the later parts' tables column by column: offsets[p, m] starts rest[p]'s column m
-        sizes = [len(t) for columns in zip(*(p.factors for p in rest)) for t in columns]
-        offsets = np.array(list(accumulate(sizes, initial=0))[:-1], dtype=np.int64)
-        offsets = offsets.reshape(len(first.factors), len(rest)).T
-        remap = np.array(remap, dtype=np.int64)
-        ids = np.concatenate([first.ids] + [remap[p.ids + o] for p, o in zip(rest, offsets)])
-        return cls.from_arrays(first.layout, np.concatenate([p.coeffs for p in parts]), ids, tables)
+        tables, columns = [], []
+        for m, column in enumerate(zip(*(p.factors for p in parts))):
+            index = {}
+            remaps = [np.array([index.setdefault(k, len(index)) for k in table], dtype=np.int64)
+                      for table in column]
+            tables.append(tuple(index))
+            columns.append(np.concatenate([remap[p.ids[:, m]] for remap, p in zip(remaps, parts)]))
+        coeffs = np.concatenate([p.coeffs for p in parts])
+        ids = np.array(columns, dtype=np.int64).T.reshape(len(coeffs), len(tables))
+        return cls.from_arrays(layout, coeffs, ids, tables)
 
     def __add__(self, other):
         return self.summed((self, other))
@@ -609,22 +579,17 @@ class _ProductSum:
         coeffs, ids, factors, width = self.coeffs, self.ids, self.factors, len(self.factors)
         bra_columns = (self._sides - 1) * len(self.layout.names)
         done = [[_normal_form(k) for k in table] for table in factors]
-        scales, ranks, sizes, scaled = [], [], [], []
+        scales, ranks, sizes = [], [], []
         for m, column in enumerate(done):
             rank = {key: n for n, key in enumerate(sorted({key for _, _, key in column}))}
             ranks += [rank[key] for _, _, key in column]
             sizes.append(len(rank))
-            column = [s.conjugate() if m >= width - bra_columns else s for s, _, _ in column]
-            scales += column
-            if any(s != 1.0 for s in column):
-                scaled.append(m)
+            scales += [s.conjugate() if m >= width - bra_columns else s for s, _, _ in column]
         offsets = list(accumulate(map(len, factors), initial=0))
         glob = ids + np.array(offsets[:-1], dtype=np.int64)
-        # a factor already in canonical form has scale exactly 1: its column leaves coeffs alone
-        if scaled:
-            scale = np.array(scales, dtype=complex)
-            for m in scaled:
-                coeffs = coeffs * scale[glob[:, m]]
+        # column by column (a factor already in canonical form has scale exactly 1)
+        for scale in np.array(scales, dtype=complex)[glob.T]:
+            coeffs = coeffs * scale
         group, count = _groups(*_row_codes(np.array(ranks, dtype=np.int64)[glob], sizes))
         acc = np.zeros(count, dtype=complex)
         np.add.at(acc, group, coeffs)
@@ -772,26 +737,20 @@ def apply_beam_splitter(
     for p in pair_codes.tolist():
         out = _bs_pair(fi[p // len(fj)], fj[p % len(fj)], lay.cutoffs[i], lay.cutoffs[j], theta)
         counts.append(len(out))
-        pieces += [(s, new_i.setdefault(ki, len(new_i)), new_j.setdefault(kj, len(new_j)))
-                   for s, ki, kj in out]
-    scalars = np.array([s for s, _, _ in pieces], dtype=complex)
-    piece_ids = np.array([ij for _, *ij in pieces], dtype=np.int64).reshape(-1, 2)
-    if len(pieces) == n_pairs:
-        # one piece per pair: each term keeps its row
-        rows, piece = slice(None), pair
-    else:
-        # each term becomes its pair's pieces, in order: row r of the output
-        # is piece (first piece of the pair) + (r - first row of the term)
-        counts = np.array(counts, dtype=np.int64)
-        per_term = counts[pair]
-        rows = np.repeat(np.arange(len(codes)), per_term)
-        shift = (np.cumsum(counts) - counts)[pair] - (np.cumsum(per_term) - per_term)
-        piece = np.arange(len(rows)) + shift[rows]
-    ids = state.ids[rows].copy()
-    ids[:, i], ids[:, j] = piece_ids[piece].T
+        pieces += [(new_i.setdefault(ki, len(new_i)), new_j.setdefault(kj, len(new_j)))
+                   for ki, kj in out]
+    piece_ids = np.array(pieces, dtype=np.int64).reshape(-1, 2)
+    # each term becomes its pair's pieces, in order: row r of the output
+    # is piece (first piece of the pair) + (r - first row of the term)
+    counts = np.array(counts, dtype=np.int64)
+    per_term = counts[pair]
+    rows = np.repeat(np.arange(len(codes)), per_term)
+    shift = (np.cumsum(counts) - counts)[pair] - (np.cumsum(per_term) - per_term)
+    ids = state.ids[rows]
+    ids[:, i], ids[:, j] = piece_ids[np.arange(len(rows)) + shift[rows]].T
     factors = list(state.factors)
     factors[i], factors[j] = tuple(new_i), tuple(new_j)
-    return KetSum.from_arrays(lay, state.coeffs[rows] * scalars[piece], ids, factors)
+    return KetSum.from_arrays(lay, state.coeffs[rows], ids, factors)
 
 
 # ---------------------------------------------------------------------------
@@ -828,12 +787,14 @@ def _read_only(*arrays) -> tuple:
 
 
 def _tuples(structure: tuple, modes: tuple) -> tuple:
-    """(distinct rows of factor ids on modes, first-seen; each term's row) of a KetSum.structure."""
+    """(distinct rows of factor ids on modes, in code order; each term's row) of a KetSum.structure."""
     names, sizes, n, raw = structure
     idx = [names.index(m) for m in modes]
     mat = np.frombuffer(raw, dtype=np.int64).reshape(n, len(sizes))[:, idx]
-    first, row = _first_seen(*_row_codes(mat, [sizes[i] for i in idx]))
-    return mat[first], row
+    row, count = _groups(*_row_codes(mat, [sizes[i] for i in idx]))
+    rows = np.empty((count, len(idx)), dtype=np.int64)
+    rows[row] = mat  # the terms of one row all write it
+    return rows, row
 
 
 class _SumPlan(NamedTuple):
@@ -943,13 +904,12 @@ def _cells(side: int, kept: _SumPlan, fold: _SumPlan, batch: _SumPlan, env: _Sum
 
 class _WeightsPlan(NamedTuple):
     """All that Contraction.weights reads of one (ket, bra, keep, families) but numbers:
-    the product-sum plans of the environment and of the batched and the folded
-    family, whether the two families trade places, and each side's cells."""
+    the product-sum plans of the environment, of the first (batched) and of the
+    second (folded) family, and each side's cells."""
 
     env: _SumPlan
     batch: _SumPlan
     fold: _SumPlan
-    swap: bool
     ket_cells: _Cells
     bra_cells: _Cells
 
@@ -963,13 +923,10 @@ def _weights_plan(ket: tuple, bra: tuple, keep: tuple, families: tuple) -> _Weig
         raise ValueError("projector families must act on disjoint modes")
     env = _sum_plan(ket, bra, tuple(m for m in ket[0] if m not in keep + named[0] + named[1]),
                     (NO_PROJECTOR,))
-    parts = [_sum_plan(ket, bra, modes, fam) for modes, fam in zip(named, families)]
-    # the family with fewer distinct factor tuples is folded
-    swap = math.prod(map(len, parts[0].rows)) < math.prod(map(len, parts[1].rows))
-    batch, fold = parts[::-1] if swap else parts
+    batch, fold = (_sum_plan(ket, bra, modes, fam) for modes, fam in zip(named, families))
     planned = (_sum_plan(ket, bra, keep, (NO_PROJECTOR,)), fold, batch, env)
     ket_cells = _cells(0, *planned)
-    return _WeightsPlan(env, batch, fold, swap, ket_cells,
+    return _WeightsPlan(env, batch, fold, ket_cells,
                         ket_cells if bra == ket else _cells(1, *planned))
 
 
@@ -1018,8 +975,9 @@ class Contraction:
         Each side's coefficients are summed onto (cell, environment tuple)
         pairs, a cell being a (kept product, folded tuple, batched tuple):
         A E B^dag, E the environment's plain-trace table, weighs every cell
-        pair, and no N_ket x N_bra array is built.  The family with fewer
-        distinct factor tuples is folded; each outcome of the other is one
+        pair, and no N_ket x N_bra array is built.  The first family is
+        batched and the second folded (callers pass the family with more
+        distinct factor tuples first): each batched outcome is one
         contraction of the cell weights with its branch sums, over the tuple
         pairs some outcome reaches.  The structure of all this is planned
         once per (ket, bra, keep, families) structure (_weights_plan).
@@ -1048,8 +1006,6 @@ class Contraction:
         w = staged[:, None] * fold[:, ket_fold[:, None], bra_fold]
         for axis, starts in ((2, plan.ket_cells.starts), (3, plan.bra_cells.starts)):
             w = np.add.reduceat(w, starts, axis=axis) if len(starts) else w
-        if plan.swap:
-            w = w.swapaxes(0, 1)
         return np.einsum("ijab,ab->ij", w, self.keep_trace), w
 
     def operator(self, weights: np.ndarray) -> TermSum:

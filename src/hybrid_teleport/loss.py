@@ -35,6 +35,7 @@ from .engine import (
     ModeLayout,
     Role,
     TermSum,
+    _coherent_coeffs,
     apply_beam_splitter,
     fock,
 )
@@ -80,11 +81,9 @@ def _kraus_images(table, orders: int, t: float, r: float) -> tuple:
     index = {}
     for f, ket in enumerate(table):
         if isinstance(ket, Coherent):
-            g = ket.amplitude
-            # (r g)^k / sqrt(k!) exp(-r^2 |g|^2 / 2) as a running product
-            steps = r * g / np.sqrt(np.maximum(np.arange(orders), 1), dtype=complex)
-            steps[0] = math.exp(-0.5 * (r * abs(g)) ** 2)
-            scale[f], image[f] = np.cumprod(steps), index.setdefault(Coherent(t * g), len(index))
+            # (r g)^k / sqrt(k!) exp(-r^2 |g|^2 / 2): the Fock coefficients of |r g>
+            scale[f] = _coherent_coeffs(r * ket.amplitude, orders - 1)[0]
+            image[f] = index.setdefault(Coherent(t * ket.amplitude), len(index))
             continue
         coeffs = np.array(ket.coeffs, dtype=complex)
         for k in range(min(orders, ket.degree + 1)):

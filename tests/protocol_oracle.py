@@ -27,7 +27,6 @@ from hybrid_teleport.engine import (
     NO_PROJECTOR,
     Contraction,
     ModeProjector,
-    _first_seen,
     apply_beam_splitter,
     product_sums,
 )
@@ -72,18 +71,17 @@ def dense_weights(contraction: Contraction, *families) -> tuple:
                 if m not in contraction.keep and m not in named[0] + named[1])
     env_k, env_b, plain = product_sums(ket, bra, env, (NO_PROJECTOR,), backend)
     q = np.outer(ket.coeffs, bra.coeffs.conj()) * plain[0][env_k[:, None], env_b]
-    sums = [product_sums(ket, bra, modes, fam, backend) for modes, fam in zip(named, fams)]
-    swap = sums[0][2][0].size < sums[1][2][0].size
-    (batch_k, batch_b, batch), (fold_k, fold_b, fold) = sums[::-1] if swap else sums
+    # the first family is batched, the second folded
+    (batch_k, batch_b, batch), (fold_k, fold_b, fold) = (
+        product_sums(ket, bra, modes, fam, backend) for modes, fam in zip(named, fams))
 
-    def keyed(kept, ids, n_kept, n_fold):
-        first, cells = _first_seen(kept * n_fold + ids, n_kept * n_fold)
-        return np.stack([kept[first], ids[first]], axis=1), cells
+    def keyed(kept, ids):
+        # the distinct (kept product, folded tuple) keys, and each term's key
+        keys, cells = np.unique(np.stack([kept, ids], axis=1), axis=0, return_inverse=True)
+        return keys, cells.reshape(-1)
 
-    ket_keys, ket_cells = keyed(contraction.ket_kept, fold_k, len(contraction.kept_kets),
-                                fold.shape[1])
-    bra_keys, bra_cells = keyed(contraction.bra_kept, fold_b, len(contraction.kept_bras),
-                                fold.shape[2])
+    ket_keys, ket_cells = keyed(contraction.ket_kept, fold_k)
+    bra_keys, bra_cells = keyed(contraction.bra_kept, fold_b)
     _, tk, tb = batch.shape
     rows = np.eye(len(ket_keys) * tk)[ket_cells * tk + batch_k]
     cols = np.eye(len(bra_keys) * tb)[bra_cells * tb + batch_b]
@@ -92,8 +90,6 @@ def dense_weights(contraction: Contraction, *families) -> tuple:
     folded = staged[:, None] * fold[:, ket_keys[:, 1]][:, :, bra_keys[:, 1]]
     w = np.eye(len(contraction.kept_kets))[ket_keys[:, 0]].T @ folded
     w = w @ np.eye(len(contraction.kept_bras))[bra_keys[:, 0]]
-    if swap:
-        w = w.swapaxes(0, 1)
     return np.einsum("ijab,ab->ij", w, contraction.keep_trace), w
 
 

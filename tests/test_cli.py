@@ -229,6 +229,37 @@ class TestExitCodes:
         assert code == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
 
+    # non-finite or overflowing values end in a config or a numeric error, not a traceback
+    @pytest.mark.parametrize("argv, code, message", [
+        (["--alpha", "inf", "--engine", "first-principles-coherent"], EXIT_CONFIG,
+         "config error: alpha values must be positive and finite\n"),
+        (["--r-step", "nan"], EXIT_CONFIG, "config error: r-step must be positive and finite\n"),
+        (["--r-step", "inf"], EXIT_CONFIG, "config error: r-step must be positive and finite\n"),
+        (["--tolerance", "nan", "--crossval"], EXIT_CONFIG,
+         "config error: tolerance must be nonnegative and finite\n"),
+        (["--alpha", "1e200"], EXIT_NUMERIC,
+         "numeric error: numeric failure in closed-form at type=I alpha=1e+200 r=0: "),
+    ], ids=["alpha-inf", "r-step-nan", "r-step-inf", "tolerance-nan", "alpha-1e200"])
+    def test_non_finite_or_overflowing_flag(self, argv, code, message, capsys):
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(message)
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("line, message", [
+        ("alpha = 1, nan", "alpha values must be positive and finite"),
+        ("r-step = inf", "r-step must be positive and finite"),
+        ("tolerance = nan\ncrossval = true", "tolerance must be nonnegative and finite"),
+    ], ids=["alpha", "r-step", "tolerance"])
+    def test_non_finite_config_file_value(self, line, message, tmp_path, capsys):
+        cfg_file = tmp_path / "sweep.cfg"
+        cfg_file.write_text(line + "\n")
+        assert main(["--config", str(cfg_file)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"config error: {message}\n"
+
     def test_fock_large_alpha_matches_coherent(self, capsys):
         # r = 0 puts sqrt(2) alpha on the input mode, the largest amplitude of the sweep
         rows = {}

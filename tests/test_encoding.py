@@ -16,7 +16,6 @@ from hybrid_teleport.encoding import (
     HybridType,
     apply_correction,
     bell_decomposition_check,
-    bell_decomposition_details,
     bell_decomposition_table,
     coherent_mode,
     correction_is_relabel,
@@ -295,10 +294,10 @@ class TestBellTable:
                 if dev is not None:
                     assert abs(got[combo][1] - dev) < 1e-12, combo
 
-    def test_details_read_one_input_of_the_table(self):
+    def test_one_input_reads_as_in_a_longer_table(self):
         angles = self.GRID[4]
         want = bell_decomposition_table(HybridType.TYPE_I, 1.0, [self.GRID[0], angles])[1]
-        got = bell_decomposition_details(HybridType.TYPE_I, 1.0, angles)
+        got, = bell_decomposition_table(HybridType.TYPE_I, 1.0, [angles])
         assert got.keys() == want.keys()
         for combo, (prob, dev) in want.items():
             assert abs(got[combo][0] - prob) < 1e-14
