@@ -86,6 +86,15 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             small_config(fmt="yaml").validate()
 
+    def test_r_grid_size_is_bounded(self):
+        # the count is checked without building the grid; the limit itself is accepted
+        with pytest.raises(ConfigError, match=r"about 9\.8e\+11 values, more than 1000000"):
+            small_config(r_max=0.98, r_step=1e-12).validate()
+        with pytest.raises(ConfigError, match="about inf values"):
+            small_config(r_max=0.98, r_step=5e-324).validate()
+        step = 0.5 / (cli.MAX_R_VALUES - 1)
+        assert small_config(r_max=0.5, r_step=step).validate()._r_steps() < cli.MAX_R_VALUES
+
 
 class TestConfigFile:
     def test_parse_and_precedence(self, tmp_path):
@@ -146,6 +155,17 @@ class TestConfigFile:
         args = cli.build_parser().parse_args(["--config", str(cfg_file)])
         with pytest.raises(ConfigError):
             config_from_sources(args)
+
+    @pytest.mark.parametrize("lines", ["r-step = 1e-12\n", "r-min = 0.1\nr-max = 0.9\nr-step = 1e-9\n"])
+    def test_r_grid_size_is_bounded_in_file(self, tmp_path, lines):
+        cfg_file = tmp_path / "sweep.cfg"
+        cfg_file.write_text(lines)
+        args = cli.build_parser().parse_args(["--config", str(cfg_file)])
+        with pytest.raises(ConfigError, match=f"more than {cli.MAX_R_VALUES}"):
+            config_from_sources(args)
+        # a flag that shrinks the grid back under the limit is accepted
+        args = cli.build_parser().parse_args(["--config", str(cfg_file), "--r-step", "0.1"])
+        assert config_from_sources(args).r_step == 0.1
 
     def test_missing_file_is_config_error(self):
         args = cli.build_parser().parse_args(["--config", "/nonexistent/x.cfg"])
@@ -246,6 +266,18 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.startswith(message)
         assert "Traceback" not in captured.err
+
+    # an overflow names the quantity that overflowed, on every engine
+    @pytest.mark.parametrize("engine, quantity", [
+        ("closed-form", "damped overlap exp(-2(alpha t)^2) overflows at alpha t = 1e+200"),
+        ("first-principles-coherent", "the Fock cutoff of amplitude 1.41e+200 overflows"),
+        ("first-principles-fock", "the Fock cutoff of amplitude 1.41e+200 overflows"),
+    ])
+    def test_overflow_names_its_quantity(self, engine, quantity, capsys):
+        assert main(["--alpha", "1e200", "--r-max", "0", "--engine", engine]) == EXIT_NUMERIC
+        captured = capsys.readouterr()
+        assert captured.err == (f"numeric error: numeric failure in {engine} "
+                                f"at type=I alpha=1e+200 r=0: {quantity}\n")
 
     @pytest.mark.parametrize("line, message", [
         ("alpha = 1, nan", "alpha values must be positive and finite"),

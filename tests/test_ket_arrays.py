@@ -282,3 +282,42 @@ def test_random_operators_match_dense(hybrid, data):
     again = TermSum.from_arrays(op.layout, op.coeffs, op.ids, op.factors)
     assert again.terms == op.terms
     assert TermSum(op.layout, op.terms).terms == op.terms
+
+
+# ---------------------------------------------------------------------------
+# the factor tables against the factors they were built from
+
+# Fock factors of degree 0-6, zero vectors, trailing zeros and -0.0, and coherent factors
+boundary_coeffs = st.sampled_from([0.0, -0.0, 1.0, -0.5, 0.25j, complex(-0.0, 0.5), 1e-300])
+boundary_fock = st.one_of(
+    st.integers(1, 4).map(lambda n: FockVector((0.0,) * n)),
+    st.builds(lambda cs, zeros: FockVector(tuple(cs) + (0.0,) * zeros),
+              st.lists(boundary_coeffs, min_size=1, max_size=7), st.integers(0, 2)),
+)
+boundary_factor = st.one_of(boundary_fock, st.sampled_from([0.0, -0.0, 0.5, -0.5j]).map(Coherent))
+
+
+@given(st.integers(1, 3), st.data())
+@settings(max_examples=60, deadline=None)
+def test_tables_hold_the_input_factors(width, data):
+    # columns mix Coherent and FockVector factors, repeated ones included
+    pool = data.draw(st.lists(st.lists(boundary_factor, min_size=1, max_size=3),
+                              min_size=2 * width, max_size=2 * width))
+    def term(sides):
+        return data.draw(st.tuples(st.sampled_from([1.0, -0.5j]), *[
+            st.tuples(*[st.sampled_from(pool[s * width + m]) for m in range(width)])
+            for s in range(sides)]))
+    lay = ModeLayout(tuple(f"m{m}" for m in range(width)), (8,) * width, (Role.PHOTONIC,) * width)
+    for cls, sides in ((KetSum, 1), (TermSum, 2)):
+        terms = [term(sides) for _ in range(data.draw(st.integers(1, 5)))]
+        built = cls(lay, terms)
+        assert len(built.terms) == len(terms)
+        for (c, *got), (c_ref, *want) in zip(built.terms, terms):
+            assert c == c_ref
+            for kets, kets_ref in zip(got, want):
+                assert kets == kets_ref  # exact, lengths included
+                assert all(len(getattr(k, "coeffs", ())) == len(getattr(r, "coeffs", ()))
+                           for k, r in zip(kets, kets_ref))
+        for m, table in enumerate(built.factors):
+            used = {k for _, *sides in terms for kets in [sum(sides, ())] for k in [kets[m]]}
+            assert set(table) == used and len(set(table)) == len(table)

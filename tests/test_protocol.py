@@ -481,7 +481,9 @@ class TestExactSphereAverage:
         assert np.max(np.abs(np.subtract(exact, grid))) <= 1e-12
 
     def test_examples_reach_both_branches(self):
-        assert eps(HybridType.TYPE_I, 1.0, 0.0) == 0.0
+        # type I's P(n) does not depend on the input at r = 0; an equal summation order
+        # can leave ulps of it (the exact beta == 0 fallback: test_tilted_success_axis[0.0])
+        assert eps(HybridType.TYPE_I, 1.0, 0.0) <= 1e-15
         assert 0.0 < eps(HybridType.TYPE_II, 1.0, 0.6) < 0.5
         assert 0.5 <= eps(HybridType.TYPE_II, 1.0, 0.98) < 1.0
 
