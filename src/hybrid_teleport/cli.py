@@ -23,8 +23,7 @@ EXIT_NUMERIC = 3
 ENGINES = ("closed-form", "first-principles-coherent", "first-principles-fock")
 CSV_HEADER = "type,alpha,r,t,avg_fidelity,avg_success,classical_limit,engine"
 CLASSICAL_LIMIT = 2.0 / 3.0
-# the most r values one sweep may ask for; a larger grid is a mistyped r-step
-MAX_R_VALUES = 10**6
+MAX_R_VALUES = 10**6  # the most r values one sweep may ask for; more is a mistyped r-step
 
 
 class ConfigError(ValueError, argparse.ArgumentTypeError):
@@ -63,9 +62,9 @@ class SweepConfig:
             raise ConfigError("r-max is below r-min")
         if not 0 < self.r_step < math.inf:
             raise ConfigError("r-step must be positive and finite")
-        if self._r_steps() >= MAX_R_VALUES:
-            raise ConfigError(f"r grid asks for about {self._r_steps():.3g} values, "
-                              f"more than {MAX_R_VALUES}")
+        steps = (self.r_max - self.r_min) / self.r_step  # counted without building the grid
+        if steps >= MAX_R_VALUES:
+            raise ConfigError(f"r grid asks for about {steps:.3g} values, more than {MAX_R_VALUES}")
         if self.engine not in ENGINES:
             raise ConfigError(f"unknown engine {self.engine!r}")
         if self.quad_u < 1 or self.quad_v < 1:
@@ -79,12 +78,8 @@ class SweepConfig:
     def quadrature(self) -> SphereQuadrature:
         return SphereQuadrature(self.quad_u, self.quad_v)
 
-    def _r_steps(self) -> float:
-        """The r grid's size less one, before flooring: counted without building the grid."""
-        return (self.r_max - self.r_min) / self.r_step + 1e-9
-
     def r_values(self) -> tuple:
-        n = math.floor(self._r_steps()) + 1
+        n = int(math.floor((self.r_max - self.r_min) / self.r_step + 1e-9)) + 1
         return tuple(round(self.r_min + k * self.r_step, 10) for k in range(n))
 
 

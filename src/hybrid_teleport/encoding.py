@@ -25,7 +25,6 @@ from .engine import (
     Backend,
     Coherent,
     Contraction,
-    FactorTable,
     FockVector,
     KetSum,
     ModeLayout,
@@ -146,13 +145,8 @@ def logical_ket(
         raise ValueError("bit must be 0 or 1")
     lay = qubit_layout(hybrid, slot, basis.alpha, coh_scale)
     sign = 1 if bit == 0 else -1
-    pieces = _plus_minus(hybrid, sign)
-    # the pieces' photonic factors differ mode by mode, so each mode's table lists them
-    ids = np.zeros((len(pieces), len(lay.names)), dtype=np.int64)
-    ids[:, :-1] = np.arange(len(pieces))[:, None]
-    tables = [[kets[m] for _, kets in pieces] for m in range(len(lay.names) - 1)]
-    return KetSum.from_arrays(lay, np.array([c for c, _ in pieces], dtype=complex), ids,
-                              tables + [[Coherent(sign * basis.damped)]])
+    amp = Coherent(sign * basis.damped)
+    return KetSum(lay, [(c, kets + (amp,)) for c, kets in _plus_minus(hybrid, sign)])
 
 
 def input_state(
@@ -170,7 +164,8 @@ def input_state(
 
 # the reference mode of a Choi ket: |x>_R marks the logical input |x_L>
 R_LAYOUT = ModeLayout(("R",), (2,), (Role.PHOTONIC,))
-R_KETS = tuple(KetSum(R_LAYOUT, [(1.0, (fock(x),))]) for x in (0, 1))
+R_FACTORS = (fock(0), fock(1))
+R_KETS = tuple(KetSum(R_LAYOUT, [(1.0, (k,))]) for k in R_FACTORS)
 
 
 def choi_ket(hybrid: HybridType, basis: DynamicBasis, slot: str, coh_scale: float = 1.0) -> KetSum:
@@ -239,6 +234,21 @@ LOGICAL_PAULI = {
 }
 
 
+def _parity_flip(ket):
+    """(-1)^n on a single mode; sends |g> to |-g>."""
+    if isinstance(ket, Coherent):
+        return Coherent(-ket.amplitude)
+    return FockVector(tuple(c if n % 2 == 0 else -c for n, c in enumerate(ket.coeffs)))
+
+
+def _swap01(ket):
+    """Exchange the photon-number-0 and -1 amplitudes; identity above."""
+    if isinstance(ket, Coherent):
+        raise ValueError("swap01 is defined on photonic modes only")
+    coeffs = ket.coeffs + (0.0,) * max(0, 2 - len(ket.coeffs))
+    return FockVector((coeffs[1], coeffs[0]) + coeffs[2:])
+
+
 def apply_correction(
     state: TermSum, hybrid: HybridType, pauli: str, slot: str = "c"
 ) -> TermSum:
@@ -258,25 +268,26 @@ def apply_correction(
     coh = lay.index(coherent_mode(slot))
     phot = [lay.index(n) for n in photonic_modes(hybrid, slot)]
     flip = phot[-1]  # the V rail (type-I) or the photonic mode (type-II)
-    ids, tables = state.ids.copy(), list(state.tables)
+    ids, factors = state.ids.copy(), list(state.factors)
     maps = []
     if "Z" in pauli:
         if hybrid is HybridType.TYPE_I:
             for m in (0, width):  # left and right columns
                 i, j = phot[0] + m, phot[1] + m
                 ids[:, [i, j]] = ids[:, [j, i]]
-                tables[i], tables[j] = tables[j], tables[i]
+                factors[i], factors[j] = factors[j], factors[i]
         else:
-            maps.append((flip, FactorTable.swapped01))
+            maps.append((flip, _swap01))
     if "X" in pauli:
-        maps += [(coh, FactorTable.parity_flipped), (flip, FactorTable.parity_flipped)]
+        maps += [(coh, _parity_flip), (flip, _parity_flip)]
+    # each distinct factor of a column is mapped once; tables stay distinct
     for col, fn in maps:
         for m in (col, col + width):
-            tables[m] = fn(tables[m])
-    out = TermSum.from_arrays(lay, state.coeffs, ids, tables)
-    # swap01 can map two factors onto one ((1,) and (1, 0) both onto (0, 1)): summing the
-    # one operator makes its tables distinct again
-    return TermSum.summed([out]) if "Z" in pauli and hybrid is HybridType.TYPE_II else out
+            index = {}
+            remap = [index.setdefault(fn(k), len(index)) for k in factors[m]]
+            factors[m] = tuple(index)
+            ids[:, m] = np.array(remap, dtype=np.int64)[ids[:, m]]
+    return TermSum.from_arrays(lay, state.coeffs, ids, factors)
 
 
 def correction_is_relabel(hybrid: HybridType, pauli: str) -> bool:
@@ -337,11 +348,10 @@ def bell_decomposition_table(hybrid: HybridType, alpha: float, angles,
     # every term's left products (R and Bob's modes), then its right ones: Bob's index the basis
     width, lay = 1 + len(bob), target.layout
     prods = KetSum.summed(KetSum.from_arrays(lay, np.ones(len(op.coeffs), dtype=complex),
-                                             op.ids[:, s:s + width], op.tables[s:s + width])
+                                             op.ids[:, s:s + width], op.factors[s:s + width])
                           for s in (0, width) for op in ops)
     ids, _, sums = product_sums(prods, prods, bob, (NO_PROJECTOR,), backend)
-    # R's photon number is the Choi index
-    x, y = np.split(prods.tables[0].degrees()[prods.ids[:, 0]], 2)
+    x, y = np.split(np.array([R_FACTORS.index(k) for k in prods.factors[0]])[prods.ids[:, 0]], 2)
     m = np.array([[a.mu, a.nu] for a in angles])
     # mats[o, k]: operator o for input k, sum_ij mats[o, k, i, j] |e_i><e_j|
     mats = np.zeros((len(ops),) + sums.shape[1:] + (len(m),), dtype=complex)
@@ -383,5 +393,5 @@ def _partial_inner(bras: list, psi: KetSum, backend: Backend) -> list:
     out = []
     for bra in bras:
         coeffs = met.coeffs * (term_overlaps(met, bra, backend) @ bra.coeffs.conj())
-        out.append(KetSum.from_arrays(rest.layout, coeffs, rest.ids, rest.tables))
+        out.append(KetSum.from_arrays(rest.layout, coeffs, rest.ids, rest.factors))
     return out

@@ -3,13 +3,11 @@
 States live on a fixed tuple of named modes.  A ket sum holds terms
 c * |k_1> x ... x |k_M|, an operator sum holds terms c * prod_m |L_m><R_m|.
 Each per-mode factor is either an explicit Fock coefficient vector or an
-exact coherent state (FockVector, Coherent).  Both sums are held as arrays:
-a coefficient vector, a matrix of factor ids and one FactorTable of distinct
-factors per column (an operator has a left and a right column per mode); a
-table is a zero-padded complex matrix and one length per row, -1 marking a
-coherent amplitude, and this module alone reads that format.  Sums keep
-their factors as given; canonicalized() is the one place factors are
-normalized and near-equal terms merged.
+exact coherent state.  Both sums are held as arrays: a coefficient vector,
+a matrix of factor ids and one table of distinct factors per column (an
+operator has a left and a right column per mode).  Sums keep their factors
+as given; canonicalized() is the one place factors are normalized and
+near-equal terms merged.
 Contractions (overlaps, traces, projections) reduce to per-mode tables over
 distinct factors, all from overlap_table, for either of two interchangeable
 backends: exact coherent-state algebra, or truncated Fock sums at the
@@ -22,7 +20,7 @@ import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import accumulate
 from typing import Iterable, NamedTuple, Union
 
@@ -102,6 +100,14 @@ class Coherent:
     def __post_init__(self):
         object.__setattr__(self, "amplitude", complex(self.amplitude))
 
+    # factors are hashed per term wherever sums are interned: hash once
+    @cached_property
+    def _hash(self) -> int:
+        return hash(self.amplitude)
+
+    def __hash__(self):
+        return self._hash
+
 
 @dataclass(frozen=True)
 class FockVector:
@@ -111,6 +117,13 @@ class FockVector:
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", tuple(complex(c) for c in self.coeffs))
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash(self.coeffs)
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def degree(self) -> int:
@@ -132,145 +145,16 @@ def fock(n: int) -> FockVector:
 VACUUM = fock(0)
 
 
-class FactorTable:
-    """One column's factors as arrays: the form every sum holds them in.
-
-    Row f is Coherent(vals[f, 0]) where lens[f] is -1, and otherwise
-    FockVector(vals[f, :lens[f]]), trailing zeros included; vals is
-    zero-padded on the right.  Operations act on whole tables at once.
-    """
-
-    __slots__ = ("vals", "lens", "_degrees", "_bytes")
-
-    def __init__(self, vals: np.ndarray, lens: np.ndarray):
-        self.vals, self.lens, self._degrees, self._bytes = vals, lens, None, None
-
-    @classmethod
-    def of(cls, factors) -> "FactorTable":
-        """The Coherent and FockVector factors as a table, in order."""
-        lens = np.array([-1 if type(k) is Coherent else len(k.coeffs) for k in factors], dtype=np.int64)
-        vals = np.zeros((len(lens), max(1, lens.max(initial=1))), dtype=complex)
-        vals[np.arange(vals.shape[1]) < np.abs(lens)[:, None]] = [
-            c for k in factors for c in ((k.amplitude,) if type(k) is Coherent else k.coeffs)]
-        return cls(vals, lens)
-
-    def __len__(self) -> int:
-        return len(self.lens)
-
-    # equal by their bytes, so that a cache can key on tables
-    def key(self) -> tuple:
-        if self._bytes is None:
-            self._bytes = (self.vals.shape, self.vals.tobytes(), self.lens.tobytes())
-        return self._bytes
-
-    def __hash__(self):
-        return hash(self.key())
-
-    def __eq__(self, other):
-        return self.key() == other.key()
-
-    def objects(self) -> tuple:
-        """The rows as Coherent and FockVector factors."""
-        return tuple(Coherent(row[0]) if n < 0 else FockVector(row[:n])
-                     for row, n in zip(self.vals.tolist(), self.lens.tolist()))
-
-    def take(self, rows) -> "FactorTable":
-        return FactorTable(self.vals[rows], self.lens[rows])
-
-    @property
-    def coherent(self) -> np.ndarray:
-        return self.lens < 0
-
-    def degrees(self) -> np.ndarray:
-        """Each Fock row's highest photon number with a nonzero coefficient, -1 for none and
-        for a coherent row; derived once."""
-        if self._degrees is None:
-            last = np.maximum.reduce((self.vals != 0) * np.arange(1, self.vals.shape[1] + 1), axis=1)
-            self._degrees = np.where(self.lens < 0, 0, last) - 1
-        return self._degrees
-
-    def parity_flipped(self) -> "FactorTable":
-        """(-1)^n on every row: |g> -> |-g>, and Fock coefficient n times (-1)^n."""
-        odd = self.coherent[:, None] | (np.arange(self.vals.shape[1]) % 2 == 1)
-        return FactorTable(np.where(odd, -self.vals, self.vals), self.lens)
-
-    def swapped01(self) -> "FactorTable":
-        """The photon-number-0 and -1 amplitudes exchanged on every row, identity above."""
-        if self.coherent.any():
-            raise ValueError("swap01 is defined on photonic modes only")
-        vals = np.zeros((len(self), max(2, self.vals.shape[1])), dtype=complex)
-        vals[:, :self.vals.shape[1]] = self.vals
-        vals[:, [0, 1]] = vals[:, [1, 0]]
-        return FactorTable(vals, np.maximum(self.lens, 2))
-
-
-def _stack(tables) -> FactorTable:
-    """The rows of the tables, in order, as one table."""
-    shapes = [t.vals.shape for t in tables]
-    widths = {w for k, w in shapes if k}
-    if len(widths) == 1:
-        return FactorTable(np.concatenate([t.vals for t in tables]), np.concatenate([t.lens for t in tables]))
-    vals = np.zeros((sum(k for k, _ in shapes), max(widths | {1})), dtype=complex)
-    at = 0
-    for t, (k, w) in zip(tables, shapes):
-        if k:
-            vals[at:at + k, :w] = t.vals
-            at += k
-    return FactorTable(vals, np.concatenate([t.lens for t in tables]))
-
-
-def _split(table: FactorTable, counts: np.ndarray) -> list:
-    """The table's rows cut into consecutive tables of the given sizes."""
-    ends = counts.cumsum().tolist()
-    return [FactorTable(table.vals[a:b], table.lens[a:b]) for a, b in zip([0] + ends, ends)]
-
-
-def _distinct(table: FactorTable, col: np.ndarray, n_cols: int) -> tuple:
-    """(tables, ids): tables[c] holds the distinct rows (exact equality) that col, which does
-    not decrease, puts in column c, first seen first; row f is row ids[f] of tables[col[f]]."""
-    n, width = table.vals.shape
-    keys = np.empty((n, width + 1), dtype=complex)
-    keys[:, 0], keys[:, 1:] = table.lens + 1j * col, table.vals
-    keys += 0.0  # -0.0 and 0.0 are one value: rows compare as bytes
-    rows = keys.view(f"V{keys.itemsize * (width + 1)}").ravel()
-    order = rows.argsort(kind="stable")
-    ranked = rows[order]
-    new = np.empty(n, dtype=bool)
-    new[:1], new[1:] = True, ranked[1:] != ranked[:-1]
-    # each row's first equal row; in order, the first rows run column by column, each
-    # column's first seen first
-    first = np.empty(n, dtype=np.int64)
-    first[order] = order[new][new.cumsum() - 1]
-    seen = first == np.arange(n)
-    counts = np.bincount(col[seen], minlength=n_cols)
-    return _split(table.take(seen), counts), (seen.cumsum() - 1)[first] - (counts.cumsum() - counts)[col]
-
-
-def _parts(vals: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """Real and imaginary parts in turn of each row's first n[f] entries, then -inf (below any
-    value, so that a row that is a prefix of another orders first)."""
-    parts = np.ascontiguousarray(vals).view(np.float64)
-    return np.where(np.arange(parts.shape[1]) < 2 * n[:, None], parts, -np.inf)
-
-
-def _unit(table: FactorTable) -> tuple:
-    """(scale, unit table): normalize_ket on every row at once."""
-    vals, coh = table.vals, table.lens < 0
-    lead = vals[np.arange(len(coh)), (vals != 0).argmax(axis=1)]
-    size = np.where(lead == 0, 1.0, np.abs(lead))  # the phase in real arithmetic: no reciprocal overflows
-    norm = np.sqrt((np.abs(vals) ** 2).sum(axis=1))
-    scale = np.where(coh, 1.0, norm * (lead.real / size + 1j * (lead.imag / size)))
-    return scale, FactorTable(vals / np.where(scale == 0, 1.0, scale)[:, None], table.lens)
+def _round_c(z: complex) -> tuple:
+    return (round(z.real, MERGE_DECIMALS), round(z.imag, MERGE_DECIMALS))
 
 
 def ket_key(k: LocalKet) -> tuple:
-    """Merge key of a local ket: its coefficients up to its degree, rounded to MERGE_DECIMALS
-    (the key canonicalized() sorts and merges factors by)."""
-    table = FactorTable.of((k,))
-    n = np.where(table.coherent, 1, table.degrees() + 1)
-    kind, parts = table.lens[0] >= 0, _parts(table.vals, n).round(MERGE_DECIMALS)[0].tolist()
-    pairs = tuple(p for p in zip(parts[::2], parts[1::2]) if p[0] != -math.inf)
-    return ("f",) + pairs if kind else ("c",) + pairs[0]
+    if isinstance(k, Coherent):
+        return ("c",) + _round_c(k.amplitude)
+    coeffs = k.coeffs
+    deg = k.degree
+    return ("f",) + tuple(_round_c(c) for c in coeffs[: deg + 1])
 
 
 def normalize_ket(k: LocalKet) -> tuple:
@@ -281,8 +165,28 @@ def normalize_ket(k: LocalKet) -> tuple:
     different code paths merge under canonicalization.  A zero vector
     returns scalar 0.  Coherent kets pass through unchanged.
     """
-    scale, unit = _unit(FactorTable.of((k,)))
-    return complex(scale[0]), unit.objects()[0]
+    if isinstance(k, Coherent):
+        return 1.0 + 0.0j, k
+    norm2 = sum(abs(c) ** 2 for c in k.coeffs)
+    if norm2 == 0.0:
+        return 0.0 + 0.0j, k
+    lead = next(c for c in k.coeffs if abs(c) > 0.0)
+    scale = math.sqrt(norm2) * (lead / abs(lead))
+    if scale == 1.0:
+        return 1.0 + 0.0j, k
+    return complex(scale), FockVector(tuple(c / scale for c in k.coeffs))
+
+
+def _by_value(k: LocalKet) -> tuple:
+    """A factor's exact coefficients: an order among factors that share a ket_key."""
+    return tuple((c.real, c.imag) for c in ((k.amplitude,) if isinstance(k, Coherent) else k.coeffs))
+
+
+@lru_cache(maxsize=4096)
+def _normal_form(k: LocalKet) -> tuple:
+    """(scale, unit ket, ket_key of it): normalize_ket and ket_key, once per distinct factor."""
+    s, nk = normalize_ket(k)
+    return s, nk, ket_key(nk)
 
 
 # ---------------------------------------------------------------------------
@@ -339,29 +243,24 @@ def _coherent_coeffs(amplitude: complex, cutoff: int) -> tuple:
     return tuple(out), tail
 
 
-def _fock_rows(table: FactorTable, top: int, guarded: bool = True, rows=slice(None)) -> np.ndarray:
-    """The Fock coefficients 0..top of the given rows: coherent rows expanded, Fock rows cut
-    or zero-padded.  Guarded, a coherent tail above COHERENT_TAIL_TOL or a Fock degree above
-    top raises; unguarded, top must bound the Fock degrees.
-    """
-    vals, lens = table.vals[rows], table.lens[rows]
-    out = np.zeros((len(lens), top + 1), dtype=complex)
-    out[:, :min(top + 1, vals.shape[1])] = vals[:, :top + 1]
-    if guarded and vals.shape[1] > top + 1 and table.degrees()[rows].max(initial=-1) > top:
-        raise CutoffInsufficientError(
-            f"Fock vector of degree {table.degrees()[rows].max()} exceeds cutoff {top}")
-    for f in (lens < 0).nonzero()[0].tolist() if lens.min(initial=0) < 0 else ():
-        amplitude = complex(vals[f, 0])
-        out[f], tail = _coherent_coeffs(amplitude, top)
-        if guarded and tail > COHERENT_TAIL_TOL:
-            raise CutoffInsufficientError(
-                f"cutoff {top} leaves tail {tail:.2e} for amplitude {amplitude:.3f}")
-    return out
-
-
 def ket_vector(k: LocalKet, cutoff: int) -> np.ndarray:
     """Dense Fock coefficients of a local ket at the given cutoff."""
-    return _fock_rows(FactorTable.of((k,)), cutoff)[0]
+    if isinstance(k, Coherent):
+        coeffs, tail = _coherent_coeffs(k.amplitude, cutoff)
+        if tail > COHERENT_TAIL_TOL:
+            raise CutoffInsufficientError(
+                f"cutoff {cutoff} leaves tail {tail:.2e} for amplitude "
+                f"{k.amplitude:.3f}"
+            )
+        return np.asarray(coeffs, dtype=complex)
+    vec = np.zeros(cutoff + 1, dtype=complex)
+    deg = k.degree
+    if deg > cutoff:
+        raise CutoffInsufficientError(
+            f"Fock vector of degree {deg} exceeds cutoff {cutoff}"
+        )
+    vec[: min(len(k.coeffs), cutoff + 1)] = k.coeffs[: cutoff + 1]
+    return vec
 
 
 # ---------------------------------------------------------------------------
@@ -417,27 +316,32 @@ def _coherent_pairs(g: np.ndarray, filt: NumberFilter, d: np.ndarray) -> np.ndar
 
 
 @lru_cache(maxsize=1 << 12)
-def overlap_table(bras: FactorTable, filt: NumberFilter, kets: FactorTable, backend: Backend,
+def overlap_table(bras: tuple, filt: NumberFilter, kets: tuple, backend: Backend,
                   cutoff: int) -> np.ndarray:
-    """T[i, j] = <bras row i| F |kets row j> on a mode with the given cutoff; read-only.
+    """T[i, j] = <bras[i]| F |kets[j]> on a mode with the given cutoff; read-only, cached.
 
     The one place per-mode overlaps are evaluated: T = conj(B) (mask K)^T over Fock
-    coefficients up to one top, the cutoff on the fock backend (_fock_rows checks tails
-    and degrees).  On the coherent backend top is the tables' highest Fock degree, which
+    coefficients up to one top, the cutoff on the fock backend (ket_vector checks tails
+    and degrees).  On the coherent backend top is the table's highest Fock degree, which
     bounds every sum with a Fock side exactly, and coherent pairs take closed forms.
     """
-    symbolic = backend.kind == "coherent"
-    coh_b, coh_k = bras.lens < 0, kets.lens < 0
-    if symbolic and coh_b.all() and coh_k.all():
-        table = _coherent_pairs(bras.vals[:, :1], filt, kets.vals[:, 0])
-    else:
-        top = int(max(bras.degrees().max(initial=0), kets.degrees().max(initial=0))) if symbolic else cutoff
-        rows = [_fock_rows(t, top, not symbolic) for t in (bras, kets)]
-        table = rows[0].conj() @ (filt.mask(top + 1) * rows[1]).T
-        if symbolic and coh_b.any() and coh_k.any():
-            pairs = _coherent_pairs(bras.vals[:, :1], filt, kets.vals[:, 0])
-            table = np.where(np.outer(coh_b, coh_k), pairs, table)
-    table.setflags(write=False)  # shared by every product a plan gathers from it
+    factors, nb = bras + kets, len(bras)
+    coh = [backend.kind == "coherent" and isinstance(k, Coherent) for k in factors]
+    table = np.zeros((nb, len(kets)), dtype=complex)
+    if not all(coh):
+        if backend.kind == "fock":
+            top, rows = cutoff, [ket_vector(k, cutoff) for k in factors]
+        else:
+            top = max([0] + [k.degree for k in factors if isinstance(k, FockVector)])
+            rows = [_coherent_coeffs(k.amplitude, top)[0] if isinstance(k, Coherent)
+                    else k.coeffs[: top + 1] + (0.0,) * (top + 1 - len(k.coeffs)) for k in factors]
+        mat = np.array(rows, dtype=complex).reshape(len(factors), top + 1)
+        table = mat[:nb].conj() @ (filt.mask(top + 1) * mat[nb:]).T
+    if any(coh[:nb]) and any(coh[nb:]):
+        amp = np.array([getattr(k, "amplitude", 0.0) for k in factors], dtype=complex)
+        pairs = _coherent_pairs(amp[:nb, None], filt, amp[nb:])
+        table = pairs if all(coh) else np.where(np.outer(coh[:nb], coh[nb:]), pairs, table)
+    table.setflags(write=False)  # shared by every caller of the cache
     return table
 
 
@@ -445,15 +349,14 @@ def overlap_table(bras: FactorTable, filt: NumberFilter, kets: FactorTable, back
 @lru_cache(maxsize=256)
 def overlap(bra: LocalKet, ket: LocalKet, backend: Backend, cutoff: int) -> complex:
     """<bra|ket> for two local kets on a mode with the given cutoff."""
-    return filtered_overlap(bra, FILTER_ALL, ket, backend, cutoff)
+    return complex(overlap_table((bra,), FILTER_ALL, (ket,), backend, cutoff)[0, 0])
 
 
 @lru_cache(maxsize=256)
 def filtered_overlap(bra: LocalKet, filt: NumberFilter, ket: LocalKet, backend: Backend,
                      cutoff: int) -> complex:
     """<bra| F |ket> where F projects onto a photon-number class."""
-    return complex(overlap_table(FactorTable.of((bra,)), filt, FactorTable.of((ket,)), backend,
-                                 cutoff)[0, 0])
+    return complex(overlap_table((bra,), filt, (ket,), backend, cutoff)[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -499,6 +402,40 @@ def _bs_sectors(ci: int, cj: int, top: int, theta: float) -> tuple:
     return out
 
 
+@lru_cache(maxsize=1024)
+def _bs_pair(
+    ki: LocalKet, kj: LocalKet, ci: int, cj: int, theta: float = BS_THETA
+) -> tuple:
+    """Transform a two-mode product ket; returns its pieces ((ket_i, ket_j), ...).
+
+    Coherent pairs stay a single product via the closed-form rule
+    |g>|d> -> |cos(theta) g + sin(theta) d>|cos(theta) d - sin(theta) g>;
+    Fock content is rotated exactly within each total-photon-number sector,
+    all sectors in one batched product.  Cached: across a sweep the 50:50
+    splitters meet the same photonic pairs at every point.
+    """
+    if isinstance(ki, Coherent) and isinstance(kj, Coherent):
+        g, d = ki.amplitude, kj.amplitude
+        c, s = math.cos(theta), math.sin(theta)
+        return ((Coherent(c * g + s * d), Coherent(c * d - s * g)),)
+    # sectors above the factors' summed degrees are empty
+    top = sum(c if isinstance(k, Coherent) else max(k.degree, 0) for k, c in ((ki, ci), (kj, cj)))
+    rot, n, m, inside, clipped = _bs_sectors(ci, cj, min(top, ci + cj), theta)
+    sectors = np.zeros(inside.shape, dtype=complex)
+    sectors[inside] = np.outer(ket_vector(ki, ci), ket_vector(kj, cj))[n, m]
+    res = np.matmul(rot, sectors[:, :, None])[:, :, 0]
+    lost = float(np.sum(np.abs(res[clipped]) ** 2))
+    if lost > COHERENT_TAIL_TOL:
+        raise CutoffInsufficientError(
+            f"beam splitter output exceeds cutoffs ({ci}, {cj}); "
+            f"clipped weight {lost:.2e}"
+        )
+    out = np.zeros((ci + 1, cj + 1), dtype=complex)
+    out[n, m] = res[inside]
+    rows = np.flatnonzero(np.any(np.abs(out) > DROP_TOL, axis=1))
+    return tuple((fock(r), FockVector(out[r].tolist())) for r in rows.tolist())
+
+
 # ---------------------------------------------------------------------------
 # sums of product terms
 
@@ -511,7 +448,7 @@ def _row_codes(mat: np.ndarray, sizes: list) -> tuple:
     """
     bound, *radix = list(accumulate(reversed(sizes), operator.mul, initial=1))[::-1]
     if bound < 1 << 62:
-        return (mat * np.array(radix, dtype=np.int64)).sum(axis=1), bound
+        return mat @ np.array(radix, dtype=np.int64), bound
     return np.unique(mat, axis=0, return_inverse=True)[1].reshape(-1), len(mat)
 
 
@@ -519,109 +456,99 @@ def _groups(codes: np.ndarray, bound: int) -> tuple:
     """(each entry's group, groups numbered in code order; the number of groups).
 
     codes lie below bound.  A table over [0, bound) groups them when it is
-    not much longer than codes (a sort costs several times more on the
-    short arrays a state has); a sort groups codes spread wider.
+    not much longer than codes (np.unique costs several times more on the
+    short arrays a state has); np.unique groups codes spread wider.
     """
     if bound > 4 * len(codes) + 1024:
-        order = codes.argsort(kind="stable")
-        ranked = codes[order]
-        new = np.empty(len(codes), dtype=bool)
-        new[:1], new[1:] = True, ranked[1:] != ranked[:-1]
-        group = np.empty(len(codes), dtype=np.int64)
-        group[order] = new.cumsum() - 1
-        return group, int(new.sum())
+        distinct, group = np.unique(codes, return_inverse=True)
+        return group.reshape(-1), len(distinct)
     present = np.zeros(bound, dtype=bool)
     present[codes] = True
     rank = np.cumsum(present)
     return rank[codes] - 1, int(rank[-1]) if bound else 0
 
 
+def _intern(rows, width: int) -> tuple:
+    """(ids, factors) of rows of factors: factors[m] holds the distinct factors
+    (exact equality) of column m in first-seen order, and ids[t, m] indexes it."""
+    index = [{} for _ in range(width)]
+    ids = [[idx.setdefault(k, len(idx)) for idx, k in zip(index, row)] for row in rows]
+    return np.array(ids, dtype=np.int64).reshape(len(ids), width), tuple(map(tuple, index))
+
+
+def _factor_rows(ids: np.ndarray, factors: tuple) -> list:
+    """Each row of ids as the tuple of the factors it names."""
+    if not factors:
+        return [()] * len(ids)
+    return list(zip(*([table[i] for i in col] for table, col in zip(factors, ids.T.tolist()))))
+
+
 class _ProductSum:
     """Sum of weighted product terms, held as arrays.
 
-    Term t is coeffs[t] times the product over columns m of row ids[t, m]
-    of tables[m], the FactorTable of column m's distinct factors (exact
-    equality).  A sum has _sides blocks of one column per layout mode: a
-    ket's factors, or an operator's left then right ones.  Operations act
-    on whole arrays; factors and terms list the same sum as Coherent and
-    FockVector objects, derived once.
+    Term t is coeffs[t] times the product over columns m of
+    factors[m][ids[t, m]], where factors[m] holds column m's distinct
+    factors (exact equality).  A sum has _sides blocks of one column per
+    layout mode: a ket's factors, or an operator's left then right ones.
+    Operations act on these arrays, and per-factor work runs once per
+    distinct factor; terms lists the same sum as tuples, derived once.
     """
 
-    __slots__ = ("layout", "coeffs", "ids", "tables", "_factors", "_terms")
+    __slots__ = ("layout", "coeffs", "ids", "factors", "_terms")
     _sides = 1
 
     def __init__(self, layout: ModeLayout, terms: Iterable):
         rows = [(c, sum(map(tuple, sides), ())) for c, *sides in terms if c != 0]
-        width = self._sides * len(layout.names)
-        tables, ids = _distinct(FactorTable.of([row[m] for m in range(width) for _, row in rows]),
-                                np.arange(width).repeat(len(rows)), width)
-        self._set(layout, np.array([c for c, _ in rows], dtype=complex),
-                  ids.reshape(width, len(rows)).T, tables)
+        ids, factors = _intern((row for _, row in rows), self._sides * len(layout.names))
+        self._set(layout, np.array([c for c, _ in rows], dtype=complex), ids, factors)
 
-    def _set(self, layout, coeffs, ids, tables):
-        self.layout, self.coeffs, self.ids, self.tables = layout, coeffs, ids, tuple(tables)
-        self._factors = self._terms = None
+    def _set(self, layout, coeffs, ids, factors):
+        self.layout, self.coeffs, self.ids, self.factors = layout, coeffs, ids, tuple(factors)
+        self._terms = None
 
     @classmethod
     def from_arrays(cls, layout: ModeLayout, coeffs: np.ndarray, ids: np.ndarray, factors):
         """sum_t coeffs[t] prod_m factors[m][ids[t, m]]; zero terms are dropped.
 
-        factors[m] is a FactorTable or a sequence of Coherent and FockVector
-        factors, and must hold distinct factors (exact equality).
+        factors[m] must hold distinct factors (exact equality).
         """
         if np.count_nonzero(coeffs) < len(coeffs):
             live = coeffs != 0
             coeffs, ids = coeffs[live], ids[live]
-        if factors and not isinstance(factors[0], FactorTable):  # factor objects, all at once
-            factors = [tuple(t) for t in factors]
-            factors = _split(FactorTable.of([k for t in factors for k in t]),
-                             np.array([len(t) for t in factors], dtype=np.int64))
         out = cls.__new__(cls)
         out._set(layout, coeffs, ids, factors)
         return out
-
-    @property
-    def factors(self) -> tuple:
-        """Per column, its table's factors as Coherent and FockVector objects, derived once."""
-        if self._factors is None:
-            self._factors = tuple(t.objects() for t in self.tables)
-        return self._factors
 
     @property
     def terms(self) -> list:
         """The terms as (c, kets) or (c, lefts, rights) tuples, derived once; read-only."""
         if self._terms is None:
             w = len(self.layout.names)
-            columns = [[table[f] for f in col] for table, col in zip(self.factors, self.ids.T.tolist())]
-            rows = zip(*columns) if columns else [()] * len(self.coeffs)
             self._terms = [(c,) + tuple(row[s * w:(s + 1) * w] for s in range(self._sides))
-                           for c, row in zip(self.coeffs.tolist(), rows)]
+                           for c, row in zip(self.coeffs.tolist(), _factor_rows(self.ids, self.factors))]
         return self._terms
 
     def scaled(self, z: complex):
-        return self.from_arrays(self.layout, self.coeffs * z, self.ids, self.tables)
+        return self.from_arrays(self.layout, self.coeffs * z, self.ids, self.factors)
 
     @classmethod
     def summed(cls, parts: Iterable):
-        """The sum of parts on one layout: their terms in order, each column's tables merged
-        into its distinct factors (exact equality), first seen first.  Of one part, its
-        tables made distinct."""
+        """The sum of parts on one layout: their terms in order, each column's tables
+        merged in one dict pass into the distinct factors (exact equality), first seen first."""
         parts = list(parts)
-        layout, width = parts[0].layout, len(parts[0].tables)
+        layout = parts[0].layout
         if any(p.layout.names != layout.names for p in parts):
             raise ValueError("layout mismatch")
+        tables, columns = [], []
+        for m, column in enumerate(zip(*(p.factors for p in parts))):
+            index = {}
+            remaps = [np.array([index.setdefault(k, len(index)) for k in table], dtype=np.int64)
+                      for table in column]
+            tables.append(tuple(index))
+            columns.append(np.concatenate([remap[p.ids[:, m]] for remap, p in zip(remaps, parts)]))
         coeffs = np.concatenate([p.coeffs for p in parts])
-        if all(p.tables == parts[0].tables for p in parts):  # equal tables (by their bytes)
-            return cls.from_arrays(layout, coeffs, np.concatenate([p.ids for p in parts]), parts[0].tables)
-        stacked = [p.tables[m] for m in range(width) for p in parts]
-        sizes = np.array([len(t.lens) for t in stacked], dtype=np.int64)
-        col = np.repeat(np.arange(width).repeat(len(parts)), sizes)
-        tables, ids = _distinct(_stack(stacked), col, width)
-        # id f of part k in column m is row offsets[m, k] + f of the stack
-        offsets = (np.cumsum(sizes) - sizes).reshape(width, len(parts))
-        return cls.from_arrays(layout, coeffs,
-                               np.concatenate([ids[p.ids + offsets[:, k]] for k, p in enumerate(parts)]),
-                               tables)
+        ids = np.array(columns, dtype=np.int64).T.reshape(len(coeffs), len(tables))
+        return cls.from_arrays(layout, coeffs, ids, tables)
 
     def __add__(self, other):
         return self.summed((self, other))
@@ -633,70 +560,60 @@ class _ProductSum:
         # per side, this sum's columns then the other's
         mine = np.broadcast_to(self.ids.reshape(n, 1, s, w), (n, m, s, w))
         theirs = np.broadcast_to(other.ids.reshape(1, m, s, v), (n, m, s, v))
-        tables = [table for k in range(s)
-                  for table in self.tables[k * w:(k + 1) * w] + other.tables[k * v:(k + 1) * v]]
+        factors = [table for k in range(s)
+                   for table in self.factors[k * w:(k + 1) * w] + other.factors[k * v:(k + 1) * v]]
         return self.from_arrays(self.layout.merge(other.layout),
                                 np.outer(self.coeffs, other.coeffs).reshape(-1),
                                 np.concatenate([mine, theirs], axis=3).reshape(n * m, s * (w + v)),
-                                tables)
+                                factors)
 
     def canonicalized(self):
         """The canonical form of the sum: the one place it is built.
 
-        Every factor of every column is normalized (normalize_ket) and keyed
-        (ket_key) at once, with its scale moved into the coefficients; an
-        operator's right (bra) factors' scales enter conjugated.  Terms whose
-        factors agree to MERGE_DECIMALS are merged onto the factors of the last
-        of them, sorted by key, and dropped at or below DROP_TOL.  The tables
-        hold one factor per key the result uses, so its structure does not
-        depend on rounding below MERGE_DECIMALS.
+        Each distinct factor is normalized (normalize_ket) and keyed (ket_key)
+        once, with its scale moved into the coefficients; an operator's right
+        (bra) factors' scales enter conjugated.  Terms whose factors agree to
+        MERGE_DECIMALS are merged onto the factors of the last of them, sorted
+        by key, and dropped at or below DROP_TOL.  The tables hold one factor
+        per key the result uses, so its structure does not depend on rounding
+        below MERGE_DECIMALS.
         """
-        coeffs, width, table = self.coeffs, len(self.tables), _stack(self.tables)
-        sizes = np.array([len(t.lens) for t in self.tables], dtype=np.int64)
-        col = np.arange(width).repeat(sizes)
-        glob = self.ids + (sizes.cumsum() - sizes)
-        scale, unit = _unit(table)
-        if self._sides == 2:
-            bra = col >= len(self.layout.names)
-            scale[bra] = scale[bra].conj()
+        coeffs, ids, factors, width = self.coeffs, self.ids, self.factors, len(self.factors)
+        bra_columns = (self._sides - 1) * len(self.layout.names)
+        done = [[_normal_form(k) for k in table] for table in factors]
+        scales, ranks, sizes = [], [], []
+        for m, column in enumerate(done):
+            rank = {key: n for n, key in enumerate(sorted({key for _, _, key in column}))}
+            ranks += [rank[key] for _, _, key in column]
+            sizes.append(len(rank))
+            scales += [s.conjugate() if m >= width - bra_columns else s for s, _, _ in column]
+        offsets = list(accumulate(map(len, factors), initial=0))
+        glob = ids + np.array(offsets[:-1], dtype=np.int64)
         # column by column (a factor already in canonical form has scale exactly 1)
-        for s in scale[glob.T]:
-            coeffs = coeffs * s
-        # every factor in (column, key, value) order, key groups numbered in that order: the
-        # key is 0 (coherent) or 1 (Fock), then the unit coefficients up to the degree rounded
-        # to MERGE_DECIMALS (ket_key); the value is all of them
-        coh, n = table.lens < 0, 2 * table.vals.shape[1]
-        keys = np.empty((len(col), 2 + 2 * n))
-        keys[:, 0], keys[:, 1] = col, ~coh
-        keys[:, 2:2 + n] = _parts(unit.vals, np.where(coh, 1, table.degrees() + 1)).round(MERGE_DECIMALS)
-        keys[:, 2 + n:] = _parts(unit.vals, np.where(coh, 1, table.lens))
-        order = np.lexsort(keys.T[::-1])
-        ranked = keys[order, :2 + n]
-        new = np.empty(len(order), dtype=bool)
-        new[:1], new[1:] = True, np.logical_or.reduce(ranked[1:] != ranked[:-1], axis=1)
-        key = np.empty(len(order), dtype=np.int64)
-        key[order] = new.cumsum() - 1
-        n_keys = np.bincount(col[order[new]], minlength=width)
-        group, count = _groups(*_row_codes((key - (n_keys.cumsum() - n_keys)[col])[glob], n_keys.tolist()))
+        for scale in np.array(scales, dtype=complex)[glob.T]:
+            coeffs = coeffs * scale
+        group, count = _groups(*_row_codes(np.array(ranks, dtype=np.int64)[glob], sizes))
         acc = np.zeros(count, dtype=complex)
         np.add.at(acc, group, coeffs)
         last = np.zeros(count, dtype=np.int64)
         np.maximum.at(last, group, np.arange(len(group)))
         live = np.abs(acc) > DROP_TOL
         kept = glob[last[live]]
-        # per column, in key order, one factor per key the kept terms use: the least by
-        # value (the first in table order among equal ones), so that no table or term order
-        # picks among factors equal to MERGE_DECIMALS
-        used = np.zeros(len(col), dtype=bool)
+        # per column, in key order, one normalized factor per key the kept terms use: the
+        # least by value, so that no table or term order picks among factors equal to
+        # MERGE_DECIMALS
+        used = np.zeros(offsets[-1], dtype=bool)
         used[kept] = True
-        used = order[used[order]]
-        runs = key[used]
-        best = used[np.concatenate((runs[:1] >= 0, runs[1:] != runs[:-1]))]
-        slot = np.zeros(len(order), dtype=np.int64)
-        slot[key[best]] = np.arange(len(best))
-        reps = np.bincount(col[best], minlength=width)
-        return self.from_arrays(self.layout, acc[live], (slot[key] - (reps.cumsum() - reps)[col])[kept],
-                                _split(unit.take(best), reps))
+        flags, renumber, tables = used.tolist(), [], []
+        for column, start, size in zip(done, offsets, sizes):
+            least = [None] * size
+            for (_, nk, _), r, u in zip(column, ranks[start:], flags[start:]):
+                if u and (least[r] is None or _by_value(nk) < _by_value(least[r])):
+                    least[r] = nk
+            below = list(accumulate((k is not None for k in least), initial=0))
+            renumber += [below[r] for r in ranks[start:start + len(column)]]
+            tables.append(tuple(k for k in least if k is not None))
+        return self.from_arrays(self.layout, acc[live], np.array(renumber, dtype=np.int64)[kept], tables)
 
 
 class KetSum(_ProductSum):
@@ -704,15 +621,15 @@ class KetSum(_ProductSum):
 
     __slots__ = ("_structure",)
 
-    def _set(self, layout, coeffs, ids, tables):
-        super()._set(layout, coeffs, ids, tables)
+    def _set(self, layout, coeffs, ids, factors):
+        super()._set(layout, coeffs, ids, factors)
         self._structure = None
 
     @property
     def structure(self) -> tuple:
         """(mode names, table sizes, term count, id bytes): all a plan reads of the sum; derived once."""
         if self._structure is None:
-            self._structure = (self.layout.names, tuple(map(len, self.tables)), len(self.ids),
+            self._structure = (self.layout.names, tuple(map(len, self.factors)), len(self.ids),
                                np.ascontiguousarray(self.ids, dtype=np.int64).tobytes())
         return self._structure
 
@@ -721,7 +638,7 @@ class KetSum(_ProductSum):
         names = tuple(names)
         idx = [self.layout.index(n) for n in names]
         return KetSum.from_arrays(self.layout.subset(names), self.coeffs, self.ids[:, idx],
-                                  [self.tables[i] for i in idx])
+                                  [self.factors[i] for i in idx])
 
     def braket(self, other: "KetSum", backend: Backend) -> complex:
         """<self|other>."""
@@ -741,7 +658,7 @@ class KetSum(_ProductSum):
         if other.layout.names != self.layout.names:
             raise ValueError("layout mismatch")
         return TermSum.from_pairs(self.layout, np.outer(self.coeffs, other.coeffs.conj()),
-                                  self.ids, other.ids, self.tables + other.tables)
+                                  self.ids, other.ids, self.factors + other.factors)
 
 
 class TermSum(_ProductSum):
@@ -756,29 +673,29 @@ class TermSum(_ProductSum):
 
     @classmethod
     def from_pairs(cls, layout: ModeLayout, weights: np.ndarray, kets: np.ndarray,
-                   bras: np.ndarray, tables) -> "TermSum":
+                   bras: np.ndarray, factors) -> "TermSum":
         """sum_ab weights[a, b] |kets[a]><bras[b]| over the nonzero weights, a-major.
 
         kets and bras are rows of factor ids into the first and the second
-        half of tables, one table of distinct factors per mode.
+        half of factors, each of which holds distinct factors per mode.
         """
         a, b = np.nonzero(weights)
         return cls.from_arrays(layout, weights[a, b], np.concatenate([kets[a], bras[b]], axis=1),
-                               tables)
+                               factors)
 
     def adjoint(self) -> "TermSum":
         w = len(self.layout.names)
         return TermSum.from_arrays(self.layout, self.coeffs.conj(),
                                    np.concatenate([self.ids[:, w:], self.ids[:, :w]], axis=1),
-                                   self.tables[w:] + self.tables[:w])
+                                   self.factors[w:] + self.factors[:w])
 
     def _halves(self) -> tuple:
         """KetSums of the left products (with the coefficients) and of the right ones."""
         w = len(self.layout.names)
         return (
-            KetSum.from_arrays(self.layout, self.coeffs, self.ids[:, :w], self.tables[:w]),
+            KetSum.from_arrays(self.layout, self.coeffs, self.ids[:, :w], self.factors[:w]),
             KetSum.from_arrays(self.layout, np.ones(len(self.coeffs), dtype=complex),
-                               self.ids[:, w:], self.tables[w:]),
+                               self.ids[:, w:], self.factors[w:]),
         )
 
     def trace(self, backend: Backend) -> complex:
@@ -795,51 +712,6 @@ class TermSum(_ProductSum):
         return complex(np.sum(lefts.coeffs * left * right))
 
 
-# a sweep meets the same tables again (the 50:50 splitters' photonic ones do not move with
-# alpha or r), so the pieces are cached on the tables' bytes
-@lru_cache(maxsize=256)
-def _bs_pieces(ti: FactorTable, tj: FactorTable, pair_codes: bytes, ci: int, cj: int,
-               theta: float) -> tuple:
-    """(table i, table j, pieces per pair, each pair's first piece, piece ids) of the pairs
-    (row pair_codes // len(tj) of ti, row pair_codes % len(tj) of tj); read-only."""
-    a, b = np.divmod(np.frombuffer(pair_codes, dtype=np.int64), len(tj.lens))
-    coh = (ti.lens[a] < 0) & (tj.lens[b] < 0)
-    counts = np.ones(len(a), dtype=np.int64)
-    pieces_i, pieces_j = [], []
-    if coh.any():
-        g, d, c, s = ti.vals[a[coh], 0], tj.vals[b[coh], 0], math.cos(theta), math.sin(theta)
-        lens = np.full(len(g), -1)
-        pieces_i.append(FactorTable((c * g + s * d)[:, None], lens))
-        pieces_j.append(FactorTable((c * d - s * g)[:, None], lens))
-    if not coh.all():
-        fa, fb = a[~coh], b[~coh]
-        vi, vj = _fock_rows(ti, ci, rows=fa), _fock_rows(tj, cj, rows=fb)
-        # sectors above the pairs' highest photon numbers are empty
-        top = sum(int(np.logical_or.reduce(v != 0).nonzero()[0].max(initial=0)) for v in (vi, vj))
-        rot, n, m, inside, clipped = _bs_sectors(ci, cj, min(top, ci + cj), theta)
-        sectors = np.zeros((len(fa),) + inside.shape, dtype=complex)
-        sectors[:, inside] = vi[:, n] * vj[:, m]
-        res = np.matmul(rot, sectors[..., None])[..., 0]
-        lost = (np.abs(res[:, clipped]) ** 2).sum(axis=1).max() if clipped.any() else 0.0
-        if lost > COHERENT_TAIL_TOL:
-            raise CutoffInsufficientError(
-                f"beam splitter output exceeds cutoffs ({ci}, {cj}); clipped weight {lost:.2e}")
-        out = np.zeros((len(fa), ci + 1, cj + 1), dtype=complex)
-        out[:, n, m] = res[:, inside]
-        p, r = np.nonzero(np.abs(out).max(axis=2) > DROP_TOL)
-        counts[~coh] = np.bincount(p, minlength=len(fa))
-        pieces_i.append(FactorTable(np.arange(r.max(initial=0) + 1) == r[:, None], r + 1))
-        pieces_j.append(FactorTable(out[p, r], np.full(len(p), cj + 1)))
-    # the pieces of the coherent pairs come first, then the others', pair by pair
-    first = counts.cumsum() - counts
-    if coh.any() and not coh.all():
-        later = np.where(coh, 0, counts)
-        first = np.where(coh, coh.cumsum() - 1, coh.sum() + later.cumsum() - later)
-    n_pieces = sum(len(t.lens) for t in pieces_i)
-    (new_i, new_j), piece_ids = _distinct(_stack(pieces_i + pieces_j), np.arange(2).repeat(n_pieces), 2)
-    return (new_i, new_j) + _read_only(counts, first, piece_ids.reshape(2, n_pieces))
-
-
 def apply_beam_splitter(
     state: KetSum, mode_i: str, mode_j: str, theta: float = BS_THETA
 ) -> KetSum:
@@ -852,34 +724,35 @@ def apply_beam_splitter(
     |g>_i |d>_j -> |(g+d)/sqrt2>_i |(d-g)/sqrt2>_j and a lone photon in i
     exits as (|1,0> - |0,1>)/sqrt2.  With a vacuum in j, theta = asin(r)
     leaks the fraction r^2 of mode i's energy into j: photon loss.  Each
-    distinct (ket_i, ket_j) pair is transformed once (_bs_pieces): a
-    coherent pair by the closed-form rule into one piece, every other
-    pair's Fock content exactly within each total-photon-number sector, all
-    such pairs in one batched product, into pieces |r>_i |row r>_j.  Each
-    term is replaced by its pair's pieces, in order.
+    distinct (ket_i, ket_j) pair is transformed once, and each term is
+    replaced by its pair's pieces, in order.
     """
     lay = state.layout
     i, j = lay.index(mode_i), lay.index(mode_j)
-    ti, tj = state.tables[i], state.tables[j]
-    if not len(state.coeffs):
-        return state
-    # the distinct (ket_i, ket_j) pairs, as codes into a len(ti) x len(tj) table
-    codes = state.ids[:, i] * len(tj.lens) + state.ids[:, j]
-    pair, n_pairs = _groups(codes, len(ti.lens) * len(tj.lens))
+    fi, fj = state.factors[i], state.factors[j]
+    # the distinct (ket_i, ket_j) pairs, as codes into a len(fi) x len(fj) table
+    codes = state.ids[:, i] * len(fj) + state.ids[:, j]
+    pair, n_pairs = _groups(codes, len(fi) * len(fj))
     pair_codes = np.empty(n_pairs, dtype=np.int64)
     pair_codes[pair] = codes  # the terms of one pair all write its code
-    new_i, new_j, counts, first, piece_ids = _bs_pieces(ti, tj, pair_codes.tobytes(), lay.cutoffs[i],
-                                                        lay.cutoffs[j], theta)
+    new_i, new_j, counts, pieces = {}, {}, [], []
+    for p in pair_codes.tolist():
+        out = _bs_pair(fi[p // len(fj)], fj[p % len(fj)], lay.cutoffs[i], lay.cutoffs[j], theta)
+        counts.append(len(out))
+        pieces += [(new_i.setdefault(ki, len(new_i)), new_j.setdefault(kj, len(new_j)))
+                   for ki, kj in out]
+    piece_ids = np.array(pieces, dtype=np.int64).reshape(-1, 2)
     # each term becomes its pair's pieces, in order: row r of the output
     # is piece (first piece of the pair) + (r - first row of the term)
+    counts = np.array(counts, dtype=np.int64)
     per_term = counts[pair]
     rows = np.repeat(np.arange(len(codes)), per_term)
-    shift = first[pair] - (np.cumsum(per_term) - per_term)
+    shift = (np.cumsum(counts) - counts)[pair] - (np.cumsum(per_term) - per_term)
     ids = state.ids[rows]
-    ids[:, i], ids[:, j] = piece_ids[:, np.arange(len(rows)) + shift[rows]]
-    tables = list(state.tables)
-    tables[i], tables[j] = new_i, new_j
-    return KetSum.from_arrays(lay, state.coeffs[rows], ids, tables)
+    ids[:, i], ids[:, j] = piece_ids[np.arange(len(rows)) + shift[rows]].T
+    factors = list(state.factors)
+    factors[i], factors[j] = tuple(new_i), tuple(new_j)
+    return KetSum.from_arrays(lay, state.coeffs[rows], ids, factors)
 
 
 # ---------------------------------------------------------------------------
@@ -946,7 +819,7 @@ class _SumPlan(NamedTuple):
     def evaluate(self, ket: KetSum, bra: KetSum, backend: Backend) -> np.ndarray:
         """S of product_sums for a ket and a bra of the planned structures."""
         values = np.concatenate([np.zeros(0, dtype=complex)] + [
-            overlap_table(bra.tables[b], filt, ket.tables[k], backend, ket.layout.cutoffs[k])
+            overlap_table(bra.factors[b], filt, ket.factors[k], backend, ket.layout.cutoffs[k])
             for k, b, filt in self.tables], axis=None)
         return np.add.reduceat(values[self.gather].prod(axis=1), self.starts, axis=0)
 
@@ -1087,7 +960,7 @@ class Contraction:
         lay = ket.layout
         idx = [lay.index(m) for m in keep]
         self.keep_layout = lay.subset(keep)
-        self.kept_tables = tuple(ket.tables[i] for i in idx) + tuple(bra.tables[i] for i in idx)
+        self.kept_factors = tuple(ket.factors[i] for i in idx) + tuple(bra.factors[i] for i in idx)
         # the distinct kept products, as rows of ket and bra factor ids; each term's kept product
         plan = _sum_plan(ket.structure, bra.structure, keep, (NO_PROJECTOR,))
         (self.kept_kets, self.kept_bras), (self.ket_kept, self.bra_kept) = plan.rows, plan.ids
@@ -1140,7 +1013,7 @@ class Contraction:
     def operator(self, weights: np.ndarray) -> TermSum:
         """sum_ab weights[a, b] |kept_kets[a]><kept_bras[b]| on the kept modes."""
         return TermSum.from_pairs(self.keep_layout, weights, self.kept_kets, self.kept_bras,
-                                  self.kept_tables)
+                                  self.kept_factors)
 
     def outcome(self, *projectors: ModeProjector) -> tuple:
         """(Tr[P rho], unnormalized TermSum on the kept modes), as weights()."""

@@ -30,11 +30,9 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 def damped_overlap(alpha: float, t: float) -> float:
     """<t*alpha | -t*alpha>, the surviving coherent-branch overlap."""
-    try:
-        return math.exp(-2.0 * (alpha * t) ** 2)
-    except OverflowError:
-        raise OverflowError(
-            f"damped overlap exp(-2(alpha t)^2) overflows at alpha t = {alpha * t:.3g}") from None
+    if (alpha * t) * (alpha * t) == math.inf:
+        raise OverflowError(f"damped overlap exp(-2(alpha t)^2) overflows at alpha t = {alpha * t:.3g}")
+    return math.exp(-2.0 * (alpha * t) ** 2)
 
 
 def cross_dephasing(alpha: float, t: float) -> float:

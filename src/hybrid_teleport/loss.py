@@ -30,13 +30,12 @@ import numpy as np
 from .encoding import LossParameter, _plus_minus, qubit_layout
 from .engine import (
     Coherent,
-    FactorTable,
+    FockVector,
     KetSum,
     ModeLayout,
     Role,
     TermSum,
     _coherent_coeffs,
-    _distinct,
     apply_beam_splitter,
     fock,
 )
@@ -70,37 +69,31 @@ def dilate(state: KetSum, names, loss: LossParameter) -> KetSum:
     return out
 
 
-def _kraus_images(table: FactorTable, orders: int, t: float, r: float) -> tuple:
+def _kraus_images(table, orders: int, t: float, r: float) -> tuple:
     """(scale, image, images) with E_k f = scale[f, k] images[image[f, k]], k < orders.
 
-    table holds one column's distinct factors f, all mapped at every order
-    at once; scale is 0 where E_k f vanishes.  A coherent factor maps to
-    |t g> at every order, with scale (r g)^k / sqrt(k!) exp(-r^2 |g|^2 / 2),
-    the k-th Fock coefficient of |r g>.
+    table holds one column's distinct factors f, each mapped once per
+    order; scale is 0 where E_k f vanishes.  A coherent factor maps to
+    |t g> at every order.
     """
-    width, coh = table.vals.shape[1], table.coherent
-    k, n = np.arange(orders)[:, None], np.arange(width)
-    # E_k sends coefficient n of a Fock factor to slot n - k, times sqrt(C(n, k)) t^(n-k) r^k
-    comb = np.sqrt([[math.comb(j, kk) for j in range(width)] for kk in range(orders)])
-    terms = (table.vals[:, None, :] * comb * t ** np.maximum(n - k, 0)
-             * np.array([r**kk for kk in range(orders)])[:, None])
-    slot = np.minimum(n + k, width - 1)
-    out = np.where(n + k < width, terms[:, k, slot], 0.0)
-    nonzero = out != 0
-    lens = np.where(nonzero.any(axis=2), width - np.argmax(nonzero[..., ::-1], axis=2), 0)
-    scale = np.where(lens > 0, 1.0, 0.0).astype(complex)
-    for f in np.flatnonzero(coh).tolist():
-        scale[f] = _coherent_coeffs(r * complex(table.vals[f, 0]), orders - 1)[0]
-    out[coh, 0, :] = 0.0
-    out[coh, 0, 0] = t * table.vals[coh, 0]
-    lens[coh, 0] = -1
-    # each image once, first seen first (factor by factor, order by order)
-    valid = (lens != 0) & ~(coh[:, None] & (k.T > 0))
-    (images,), ids = _distinct(FactorTable(out[valid], lens[valid]), np.zeros(valid.sum(), int), 1)
-    image = np.zeros(valid.shape, dtype=np.int64)
-    image[valid] = ids
-    image[coh] = image[coh, :1]
-    return scale, image, images
+    scale = np.zeros((len(table), orders), dtype=complex)
+    image = np.zeros((len(table), orders), dtype=np.int64)
+    index = {}
+    for f, ket in enumerate(table):
+        if isinstance(ket, Coherent):
+            # (r g)^k / sqrt(k!) exp(-r^2 |g|^2 / 2): the Fock coefficients of |r g>
+            scale[f] = _coherent_coeffs(r * ket.amplitude, orders - 1)[0]
+            image[f] = index.setdefault(Coherent(t * ket.amplitude), len(index))
+            continue
+        coeffs = np.array(ket.coeffs, dtype=complex)
+        for k in range(min(orders, ket.degree + 1)):
+            n = np.arange(k, len(coeffs))
+            out = coeffs[k:] * np.sqrt([math.comb(j, k) for j in n.tolist()]) * t ** (n - k) * r**k
+            nonzero = np.flatnonzero(out)
+            if len(nonzero):
+                scale[f, k] = 1.0
+                image[f, k] = index.setdefault(FockVector(out[:nonzero[-1] + 1]), len(index))
+    return scale, image, tuple(index)
 
 
 def damp_mode(state: TermSum, name: str, loss: LossParameter) -> TermSum:
@@ -109,9 +102,9 @@ def damp_mode(state: TermSum, name: str, loss: LossParameter) -> TermSum:
     A term whose two factors on the mode are coherent takes the closed
     exponent; any other term becomes one term per Kraus order up to the
     smaller Fock degree of its sides (order 0 alone at r = 0).  Each
-    column's table is mapped at every order at once (_kraus_images), and
-    the terms are expanded as rows of factor ids, in order.  A row whose
-    image vanishes has coefficient 0, and from_arrays drops it.
+    distinct factor is mapped once per order (_kraus_images), and the
+    terms are expanded as rows of factor ids, in order.  A row whose image
+    vanishes has coefficient 0, and from_arrays drops it.
     """
     t, r = loss.t, loss.r
     m = state.layout.index(name)
@@ -120,10 +113,11 @@ def damp_mode(state: TermSum, name: str, loss: LossParameter) -> TermSum:
 
     def per_term(c):
         # each term's factor in column c: coherent or not, its amplitude, its Kraus order bound
-        table, ids = state.tables[c], state.ids[:, c]
-        coh = table.coherent
-        amp = np.where(coh, table.vals[:, 0], 0.0)
-        return coh[ids], amp[ids], np.where(coh, unbounded, table.degrees())[ids]
+        table = state.factors[c]
+        coh = np.array([isinstance(k, Coherent) for k in table], dtype=bool)
+        amp = np.array([k.amplitude if is_c else 0.0 for k, is_c in zip(table, coh)], dtype=complex)
+        deg = np.array([unbounded if is_c else k.degree for k, is_c in zip(table, coh)], dtype=int)
+        return coh[state.ids[:, c]], amp[state.ids[:, c]], deg[state.ids[:, c]]
 
     (cl, g, dl), (cr, d, dr) = per_term(cols[0]), per_term(cols[1])
     both = cl & cr
@@ -132,20 +126,19 @@ def damp_mode(state: TermSum, name: str, loss: LossParameter) -> TermSum:
     counts = np.where(both, 0, top) + 1
     rows = np.repeat(np.arange(len(counts)), counts)
     k = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
-    orders = int(k.max(initial=0)) + 1
-    left, right = (state.tables[c] for c in cols)
     # an operator's left and right tables are often equal (a dm()): map them once
-    (sl, il, tl) = _kraus_images(left, orders, t, r)
-    (sr, ir, tr) = (sl, il, tl) if right == left else _kraus_images(right, orders, t, r)
+    images = {table: _kraus_images(table, int(k.max(initial=0)) + 1, t, r)
+              for table in dict.fromkeys(state.factors[c] for c in cols)}
+    (sl, il, tl), (sr, ir, tr) = (images[state.factors[c]] for c in cols)
     li, ri, g, d = state.ids[rows, cols[0]], state.ids[rows, cols[1]], g[rows], d[rows]
     # a coherent pair takes one exponent, whose real part -r^2 |g - d|^2 / 2 never overflows
     closed = np.exp(r * r * (g * d.conj() - 0.5 * (np.abs(g) ** 2 + np.abs(d) ** 2)))
     coeffs = state.coeffs[rows] * np.where(both[rows], closed, sl[li, k] * sr[ri, k].conj())
     out = state.ids[rows]
     out[:, cols[0]], out[:, cols[1]] = il[li, k], ir[ri, k]
-    tables = list(state.tables)
-    tables[cols[0]], tables[cols[1]] = tl, tr
-    return TermSum.from_arrays(state.layout, coeffs, out, tables)
+    factors = list(state.factors)
+    factors[cols[0]], factors[cols[1]] = tl, tr
+    return TermSum.from_arrays(state.layout, coeffs, out, factors)
 
 
 def damp_modes(state: TermSum, names, loss: LossParameter) -> TermSum:
@@ -166,20 +159,10 @@ def pm_block(which: str, t: float, primed: bool = False) -> tuple:
     """
     r2 = 1.0 - t * t
     cross = -0.5 * r2 if primed else 0.5 * r2
-    if which == "++":
-        return (
-            (0.5 * (1.0 + t), 1, 1),
-            (cross, 1, -1),
-            (cross, -1, 1),
-            (0.5 * (1.0 - t), -1, -1),
-        )
-    if which == "--":
-        return (
-            (0.5 * (1.0 - t), 1, 1),
-            (cross, 1, -1),
-            (cross, -1, 1),
-            (0.5 * (1.0 + t), -1, -1),
-        )
+    if which in ("++", "--"):
+        up, down = 0.5 * (1.0 + t), 0.5 * (1.0 - t)
+        first, last = (up, down) if which == "++" else (down, up)
+        return ((first, 1, 1), (cross, 1, -1), (cross, -1, 1), (last, -1, -1))
     if which == "+-":
         return ((0.5 * (t * t + t), 1, -1), (0.5 * (t * t - t), -1, 1))
     if which == "-+":

@@ -20,6 +20,7 @@ import numpy as np
 
 from .encoding import (
     LOGICAL_PAULI,
+    R_FACTORS,
     BlochAngles,
     DynamicBasis,
     HybridType,
@@ -209,8 +210,8 @@ def outcome_tensors(
     # products; each is |x>_R times a Bob product, and rho_xy is the R-block
     # (x, y) of W: read on Bob's modes, with R's column dropped
     products = contraction.kept_kets
-    r_value = contraction.kept_tables[0].degrees()[products[:, 0]]  # R's photon number is x
-    bob_rows, bob_tables = products[:, 1:], contraction.kept_tables[1:1 + len(bob.names)]
+    r_value = np.array([R_FACTORS.index(k) for k in contraction.kept_factors[0]])[products[:, 0]]
+    bob_rows, bob_tables = products[:, 1:], contraction.kept_factors[1:1 + len(bob.names)]
     in_block = (r_value == np.arange(2)[:, None]).astype(float)
     bobs = KetSum.from_arrays(bob, np.ones(len(products), dtype=complex), bob_rows, bob_tables)
     # read[p, a] = <p_L|Bob product a>, summed over the terms of p_L

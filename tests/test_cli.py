@@ -92,8 +92,8 @@ class TestConfigValidation:
             small_config(r_max=0.98, r_step=1e-12).validate()
         with pytest.raises(ConfigError, match="about inf values"):
             small_config(r_max=0.98, r_step=5e-324).validate()
-        step = 0.5 / (cli.MAX_R_VALUES - 1)
-        assert small_config(r_max=0.5, r_step=step).validate()._r_steps() < cli.MAX_R_VALUES
+        step = 0.5 / (cli.MAX_R_VALUES - 1)  # a grid of MAX_R_VALUES values
+        assert small_config(r_max=0.5, r_step=step).validate().r_step == step
 
 
 class TestConfigFile:

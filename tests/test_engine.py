@@ -23,7 +23,6 @@ from hybrid_teleport.engine import (
     Coherent,
     Contraction,
     CutoffInsufficientError,
-    FactorTable,
     FockVector,
     FILTER_ALL,
     FILTER_EVEN_GE2,
@@ -263,7 +262,7 @@ class TestOverlapTable:
         cut = max([default_cutoff(k.amplitude) for k in bras + kets if isinstance(k, Coherent)]
                   + [len(k.coeffs) for k in bras + kets if isinstance(k, FockVector)])
         for filt in ALL_FILTERS:
-            table = overlap_table(FactorTable.of(bras), filt, FactorTable.of(kets), backend, cut)
+            table = overlap_table(bras, filt, kets, backend, cut)
             assert table.shape == (len(bras), len(kets)) and not table.flags.writeable
             want = [[overlap_oracle.filtered_overlap(b, filt, k, backend, cut) for k in kets]
                     for b in bras]
@@ -271,14 +270,11 @@ class TestOverlapTable:
 
     def test_fock_backend_rejects_a_degree_above_the_cutoff(self):
         with pytest.raises(CutoffInsufficientError):
-            overlap_table(FactorTable.of((fock(4),)), FILTER_ALL, FactorTable.of((Coherent(0.5),)),
-                          TRUNCATED_FOCK, 3)
+            overlap_table((fock(4),), FILTER_ALL, (Coherent(0.5),), TRUNCATED_FOCK, 3)
         with pytest.raises(CutoffInsufficientError):
-            overlap_table(FactorTable.of((fock(0),)), FILTER_ODD,
-                          FactorTable.of((FockVector((0.0,) * 5 + (1.0,)),)), TRUNCATED_FOCK, 4)
+            overlap_table((fock(0),), FILTER_ODD, (FockVector((0.0,) * 5 + (1.0,)),), TRUNCATED_FOCK, 4)
         # the coherent backend bounds its sums by the degrees in the table instead
-        assert overlap_table(FactorTable.of((fock(4),)), FILTER_ALL, FactorTable.of((fock(4),)),
-                             COHERENT_ALGEBRA, 3)[0, 0] == 1.0
+        assert overlap_table((fock(4),), FILTER_ALL, (fock(4),), COHERENT_ALGEBRA, 3)[0, 0] == 1.0
 
 
 class TestBeamSplitter:

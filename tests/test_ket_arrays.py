@@ -27,6 +27,7 @@ from hybrid_teleport.engine import (
     TermSum,
     apply_beam_splitter,
     fock,
+    ket_key,
     ket_vector,
     normalize_ket,
 )
@@ -282,6 +283,38 @@ def test_random_operators_match_dense(hybrid, data):
     again = TermSum.from_arrays(op.layout, op.coeffs, op.ids, op.factors)
     assert again.terms == op.terms
     assert TermSum(op.layout, op.terms).terms == op.terms
+
+
+def test_type_ii_z_keeps_tables_distinct():
+    # Z swaps |0> and |1> on the photonic mode: (1,) and (1, 0) both become (0, 1), one factor
+    lay = qubit_layout(HybridType.TYPE_II, "c", 1.0)
+    psi = KetSum(lay, [(0.6, (fock(0), Coherent(1.0))), (0.8, (FockVector((1.0, 0.0)), Coherent(-1.0)))])
+    op = psi.dm()
+    got = apply_correction(op, HybridType.TYPE_II, "Z")
+    for table in got.factors:
+        assert len(set(table)) == len(table)
+    assert got.factors[0] == (FockVector((0.0, 1.0)),)
+    c = dense_correction(HybridType.TYPE_II, "Z", lay)
+    assert np.allclose(dense_operator(got), c @ dense_operator(op) @ c.conj().T, rtol=0.0, atol=1e-13)
+
+
+# values near a half-way point of the 12th decimal, where rounding x * 1e12 in floating point
+# can pick the other side, and values too large to carry a 12th decimal
+def _near_half(k: int, step: int) -> float:
+    x = (k + 0.5) * 1e-12
+    return float(np.nextafter(x, step * math.inf)) if step else x
+
+
+near_half = st.builds(_near_half, st.integers(-10**12, 10**12), st.sampled_from([-1, 0, 1]))
+merge_floats = st.one_of(near_half, st.floats(-2.0, 2.0), st.floats(-1e6, 1e6))
+
+
+@given(merge_floats, merge_floats)
+@settings(max_examples=200, deadline=None)
+def test_merge_keys_round_as_python_round(x, y):
+    # the key oracle: Python's round() to MERGE_DECIMALS, the rounding canonical forms merge by
+    assert ket_key(Coherent(complex(x, y))) == ("c", round(x, 12), round(y, 12))
+    assert ket_key(FockVector((complex(x, y), 1.0))) == ("f", (round(x, 12), round(y, 12)), (1.0, 0.0))
 
 
 # ---------------------------------------------------------------------------
