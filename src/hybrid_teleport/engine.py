@@ -365,40 +365,16 @@ def filtered_overlap(bra: LocalKet, filt: NumberFilter, ket: LocalKet, backend: 
 BS_THETA = math.pi / 4.0
 
 
-@lru_cache(maxsize=256)
-def _bs_sector_matrix(k: int, theta: float = BS_THETA) -> np.ndarray:
-    """Rotation of the total-photon-number-k sector, basis |n>_i |k-n>_j.
-
-    Generator theta (a_i^dag a_j - a_i a_j^dag); the sector matrix is the
-    exact exponential (the generator conserves total photon number).
-    """
-    g = np.zeros((k + 1, k + 1))
-    for n in range(k):
-        val = theta * math.sqrt((n + 1) * (k - n))
-        g[n + 1, n] = val
-        g[n, n + 1] = -val
-    lam, vec = np.linalg.eigh(1j * g)
-    return (vec * np.exp(-1j * lam)) @ vec.conj().T
-
-
-@lru_cache(maxsize=64)
-def _bs_sectors(ci: int, cj: int, top: int, theta: float) -> tuple:
-    """The rotations of sectors 0..top of two modes with cutoffs (ci, cj), stacked.
-
-    Returns (rot, n, m, inside, clipped): rot[k] is the sector-k matrix
-    zero-padded to top + 1 slots, slot (k, p) holds |p>_i |k-p>_j,
-    inside marks the slots within both cutoffs, (n, m) are their photon
-    numbers in the same order, and clipped marks the other real slots.
-    """
-    size = top + 1
-    rot = np.zeros((size, size, size), dtype=complex)
-    for k in range(size):
-        rot[k, : k + 1, : k + 1] = _bs_sector_matrix(k, theta)
-    k, p = np.indices((size, size))
-    inside = (p <= k) & (p <= ci) & (k - p <= cj)
-    out = rot, p[inside], (k - p)[inside], inside, (p <= k) & ~inside
-    for arr in out:
-        arr.setflags(write=False)  # shared by every caller of the cache
+def _created(vec: np.ndarray, ket: np.ndarray, a: float, b: float) -> np.ndarray:
+    """sum_n vec[n] (a a_i^dag + b a_j^dag)^n / sqrt(n!) |ket>, |ket> a square two-mode
+    amplitude matrix, by Horner's rule: one photon at a time."""
+    root = np.sqrt(np.arange(len(ket)))
+    out = vec[-1] * ket
+    for n in range(len(vec) - 2, -1, -1):
+        up = np.zeros_like(out)
+        up[1:] = a * root[1:, None] * out[:-1]
+        up[:, 1:] += b * root[1:] * out[:, :-1]
+        out = vec[n] * ket + up / math.sqrt(n + 1)
     return out
 
 
@@ -409,29 +385,35 @@ def _bs_pair(
     """Transform a two-mode product ket; returns its pieces ((ket_i, ket_j), ...).
 
     Coherent pairs stay a single product via the closed-form rule
-    |g>|d> -> |cos(theta) g + sin(theta) d>|cos(theta) d - sin(theta) g>;
-    Fock content is rotated exactly within each total-photon-number sector,
-    all sectors in one batched product.  Cached: across a sweep the 50:50
-    splitters meet the same photonic pairs at every point.
+    |g>|d> -> |cos(theta) g + sin(theta) d>|cos(theta) d - sin(theta) g>.
+    Fock content takes the closed form of the splitter's action on creation
+    operators: |n>|m> = a_i^dag^n a_j^dag^m |0,0> / sqrt(n! m!) maps to
+    (c a_i^dag - s a_j^dag)^n (s a_i^dag + c a_j^dag)^m |0,0> / sqrt(n! m!),
+    c = cos(theta), s = sin(theta), applied one photon at a time.  Against a
+    60-digit reference, amplitudes are exact to about 1e-16 up to four photons
+    per side (the protocol sends at most one) and to 1e-14 at ten; the error
+    then grows fast, worst at theta = pi/4: 2e-12 at |20,20>, 3e-6 at |40,40>.
+    A coherent factor beside a Fock one is expanded at its cutoff.  Cached:
+    across a sweep the 50:50 splitters meet the same photonic pairs at every
+    point.
     """
+    c, s = math.cos(theta), math.sin(theta)
     if isinstance(ki, Coherent) and isinstance(kj, Coherent):
         g, d = ki.amplitude, kj.amplitude
-        c, s = math.cos(theta), math.sin(theta)
         return ((Coherent(c * g + s * d), Coherent(c * d - s * g)),)
-    # sectors above the factors' summed degrees are empty
-    top = sum(c if isinstance(k, Coherent) else max(k.degree, 0) for k, c in ((ki, ci), (kj, cj)))
-    rot, n, m, inside, clipped = _bs_sectors(ci, cj, min(top, ci + cj), theta)
-    sectors = np.zeros(inside.shape, dtype=complex)
-    sectors[inside] = np.outer(ket_vector(ki, ci), ket_vector(kj, cj))[n, m]
-    res = np.matmul(rot, sectors[:, :, None])[:, :, 0]
-    lost = float(np.sum(np.abs(res[clipped]) ** 2))
+    vi, vj = ket_vector(ki, ci), ket_vector(kj, cj)
+    # photon numbers above each vector's last nonzero entry carry nothing
+    ni, nj = (int(np.flatnonzero(v).max(initial=0)) for v in (vi, vj))
+    vac = np.zeros((max(ci, cj, ni + nj) + 1,) * 2, dtype=complex)
+    vac[0, 0] = 1.0
+    res = _created(vj[: nj + 1], _created(vi[: ni + 1], vac, c, -s), s, c)
+    lost = float(np.sum(np.abs(res[ci + 1:]) ** 2) + np.sum(np.abs(res[: ci + 1, cj + 1:]) ** 2))
     if lost > COHERENT_TAIL_TOL:
         raise CutoffInsufficientError(
             f"beam splitter output exceeds cutoffs ({ci}, {cj}); "
             f"clipped weight {lost:.2e}"
         )
-    out = np.zeros((ci + 1, cj + 1), dtype=complex)
-    out[n, m] = res[inside]
+    out = res[: ci + 1, : cj + 1]
     rows = np.flatnonzero(np.any(np.abs(out) > DROP_TOL, axis=1))
     return tuple((fock(r), FockVector(out[r].tolist())) for r in rows.tolist())
 

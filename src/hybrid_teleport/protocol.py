@@ -78,8 +78,10 @@ class SphereQuadrature:
         if self.n_u < 1 or self.n_v < 1:
             raise ValueError("quadrature sizes must be positive")
 
+    @lru_cache(maxsize=8)
     def nodes(self) -> tuple:
-        """(u, v, weight) triples; weights sum to 1 for the sphere measure."""
+        """(u, v, weight) triples; weights sum to 1 for the sphere measure.  Built
+        once per rule: the closed sweep asks for an equal rule at every point."""
         x, w = np.polynomial.legendre.leggauss(self.n_u)
         out = []
         for xi, wi in zip(x, w):
@@ -119,7 +121,7 @@ def _protocol_states(hybrid: HybridType, alpha: float, r: float) -> KetSum:
     mode, so the state stays a ket; the environment is traced out by the
     contraction.  The result is exact and backend-free: beam splitting
     acts through structural identities (coherent pairs stay coherent;
-    photonic pairs are rotated within photon-number sectors).
+    photonic pairs take the splitter's closed form on creation operators).
     """
     loss = LossParameter(r)
     basis = DynamicBasis(alpha, loss)

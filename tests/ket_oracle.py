@@ -4,8 +4,9 @@ States here are plain term lists, (c, kets) for kets and (c, lefts, rights)
 for operators, and every operation is a loop over terms: the engine's form
 before sums became factor-id arrays.  The array-backed engine must
 reproduce these term for term.  The beam splitter rotates each photon-number
-sector on its own, independently of the engine's batched rotation.  The
-Pauli corrections are dense matrices.
+sector on its own by an explicit Wigner d-matrix, a rotation the engine
+does not share (it applies the splitter to creation operators).  The Pauli
+corrections are dense matrices.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from hybrid_teleport.engine import (
     FockVector,
     ModeLayout,
     Role,
-    _bs_sector_matrix,
     fock,
     ket_key,
     ket_vector,
@@ -92,6 +92,24 @@ def by_value(k) -> tuple:
     return tuple(part for z in values for part in (z.real, z.imag))
 
 
+def sector_rotation(k: int, theta: float) -> np.ndarray:
+    """The beam splitter on the k-photon sector, [p, n] = <p, k-p|U|n, k-n>.
+
+    U = exp(theta (a_i^dag a_j - a_i a_j^dag)) is a rotation of spin k/2
+    by -2 theta, so its entries are (-1)^(p+n) times Wigner's small-d
+    d^{k/2}_{p-k/2, n-k/2}(2 theta), summed term by term.
+    """
+    c, s = math.cos(theta), math.sin(theta)
+    f = math.factorial
+    out = np.zeros((k + 1, k + 1))
+    for p, n in itertools.product(range(k + 1), repeat=2):
+        d = sum((-1) ** (p - n + t) * c ** (k + n - p - 2 * t) * s ** (p - n + 2 * t)
+                / (f(n - t) * f(t) * f(p - n + t) * f(k - p - t))
+                for t in range(max(0, n - p), min(n, k - p) + 1))
+        out[p, n] = (-1) ** (p + n) * math.sqrt(f(p) * f(k - p) * f(n) * f(k - n)) * d
+    return out
+
+
 def bs_pair(ki, kj, ci: int, cj: int, theta: float = BS_THETA) -> list:
     """[(scalar, ket_i, ket_j)] for one two-mode product, sector by sector."""
     if isinstance(ki, Coherent) and isinstance(kj, Coherent):
@@ -113,7 +131,7 @@ def bs_pair(ki, kj, ci: int, cj: int, theta: float = BS_THETA) -> list:
             full[n] = block[n, k - n]
         if not np.any(np.abs(full) > 0):
             continue
-        res = _bs_sector_matrix(k, theta) @ full
+        res = sector_rotation(k, theta) @ full
         for n in range(k + 1):
             if n <= ci and k - n <= cj:
                 out[n, k - n] += res[n]

@@ -60,14 +60,14 @@ BACKENDS = (COHERENT_ALGEBRA, TRUNCATED_FOCK)
 TRACE = ModeProjector(((),))  # one empty branch: the plain partial trace
 
 
-def dense_bs(cutoff: int) -> np.ndarray:
-    """Dense two-mode 50:50 beam splitter via matrix exponential (oracle)."""
+def dense_bs(cutoff: int, theta: float = BS_THETA) -> np.ndarray:
+    """Dense two-mode beam splitter via matrix exponential (oracle), 50:50 by default."""
     dim = cutoff + 1
     a = np.diag(np.sqrt(np.arange(1, dim)), k=1)
     adag = a.T.conj()
     eye = np.eye(dim)
     gen = np.kron(adag, eye) @ np.kron(eye, a) - np.kron(a, eye) @ np.kron(eye, adag)
-    return expm(BS_THETA * gen)
+    return expm(theta * gen)
 
 
 def two_mode_vector(kets, cutoff: int) -> np.ndarray:
@@ -302,16 +302,27 @@ class TestBeamSplitter:
     @given(
         st.integers(0, 2),
         st.integers(0, 2),
+        # the 50:50 splitter and loss splitters asin(r)
+        st.sampled_from([BS_THETA, math.asin(0.02), math.asin(0.3), math.asin(0.98)]),
     )
-    @settings(max_examples=9, deadline=None)
-    def test_fock_pair_matches_dense_exponential(self, n, m):
+    @settings(max_examples=36, deadline=None)
+    def test_fock_pair_matches_dense_exponential(self, n, m, theta):
         cutoff = max(n + m, 2)
         lay = ModeLayout(("p", "q"), (cutoff, cutoff), (Role.PHOTONIC, Role.PHOTONIC))
         state = KetSum(lay, [(1.0, (fock(n), fock(m)))])
-        out = apply_beam_splitter(state, "p", "q").canonicalized()
+        out = apply_beam_splitter(state, "p", "q", theta).canonicalized()
         got = ketsum_two_mode_vector(out, cutoff)
-        want = dense_bs(cutoff) @ two_mode_vector((fock(n), fock(m)), cutoff)
+        want = dense_bs(cutoff, theta) @ two_mode_vector((fock(n), fock(m)), cutoff)
         assert np.allclose(got, want, atol=1e-12)
+
+    def test_clipped_weight_guard(self):
+        # |2,2> at 50:50 puts 3/8 on each of |4,0> and |0,4>, beyond cutoffs (2, 2)
+        lay = ModeLayout(("p", "q"), (2, 2), (Role.PHOTONIC, Role.PHOTONIC))
+        with pytest.raises(CutoffInsufficientError, match=r"clipped weight 7\.50e-01"):
+            apply_beam_splitter(KetSum(lay, [(1.0, (fock(2), fock(2)))]), "p", "q")
+        out = apply_beam_splitter(KetSum(lay, [(1.0, (fock(1), fock(1)))]), "p", "q")
+        want = dense_bs(2) @ two_mode_vector((fock(1), fock(1)), 2)
+        assert np.allclose(ketsum_two_mode_vector(out, 2), want, atol=1e-15)
 
     @pytest.mark.parametrize("case", ["single", "repeated-pair"])
     def test_mixed_fock_coherent_matches_dense(self, case):
