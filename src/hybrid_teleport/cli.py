@@ -67,8 +67,10 @@ class SweepConfig:
             raise ConfigError(f"r grid asks for about {steps:.3g} values, more than {MAX_R_VALUES}")
         if self.engine not in ENGINES:
             raise ConfigError(f"unknown engine {self.engine!r}")
-        if self.quad_u < 1 or self.quad_v < 1:
-            raise ConfigError("quadrature sizes must be positive")
+        try:
+            self.quadrature()  # checks the rule's sizes without building its nodes
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if self.fmt not in ("csv", "json"):
             raise ConfigError(f"unknown format {self.fmt!r}")
         if not 0 <= self.tolerance < math.inf:

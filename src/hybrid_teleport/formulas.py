@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -91,6 +92,30 @@ OUTCOME_GROUPS = (
 )
 
 
+class LossFactors(NamedTuple):
+    """The loss factors of the group formulas and states at one (alpha, t)."""
+
+    t: float
+    r2: float  # 1 - t^2
+    ta: float  # t alpha, the surviving coherent amplitude
+    e: float  # damped_overlap
+    deph: float  # cross_dephasing
+    e4t: float  # exp(-4 (alpha t)^2)
+    e4: float  # exp(-4 alpha^2)
+    half_p: float  # (t^2 + t) / 2
+    half_m: float  # (t^2 - t) / 2
+
+
+def loss_factors(alpha: float, t: float) -> LossFactors:
+    """Every loss factor of the group formulas and states, once per (alpha, t)."""
+    e = damped_overlap(alpha, t)  # first: it names an overflow that (alpha t) ** 2 would raise
+    return LossFactors(
+        t, 1.0 - t * t, t * alpha, e, cross_dephasing(alpha, t),
+        math.exp(-4.0 * (alpha * t) ** 2), math.exp(-4.0 * alpha * alpha),
+        0.5 * (t * t + t), 0.5 * (t * t - t),
+    )
+
+
 def _angle_parts(angles: BlochAngles) -> tuple:
     """(|mu|^2, |nu|^2, 2Re(mu nu*), 2Re(mu^2 nu*^2), mu nu*)."""
     mu, nu = angles.mu, angles.nu
@@ -98,55 +123,41 @@ def _angle_parts(angles: BlochAngles) -> tuple:
     return abs(mu) ** 2, abs(nu) ** 2, 2.0 * mn.real, 2.0 * (mn * mn).real, mn
 
 
-def group_probability(i: int, alpha: float, t: float, angles: BlochAngles) -> float:
-    """Total probability of group i (angle-dependent only for group 5)."""
-    e = damped_overlap(alpha, t)
-    if i == 1:
-        return 0.25 * (1.0 - e) * (1.0 + t * e)
-    if i == 2:
-        return 0.25 * (1.0 - e) * (1.0 - t * e)
-    if i == 3:
-        return 0.25 * (1.0 - e) ** 2
-    if i == 4:
-        return 0.25 * (1.0 - e) * (1.0 + e)
-    if i == 5:
-        _, _, c1, _, _ = _angle_parts(angles)
-        return 0.5 * e * (1.0 - c1 * (1.0 - t * t))
-    raise ValueError(f"group index {i} out of range 1..5")
-
-
-def group_fidelity(i: int, alpha: float, t: float, angles: BlochAngles) -> float:
-    """Fidelity of group i's conditional state with the ideal output."""
-    m2, n2, c1, c2, _ = _angle_parts(angles)
+def _group_formulas(factors: LossFactors, parts: tuple) -> tuple:
+    """((p_1, f_1), ..., (p_5, f_5)): each group's total probability and the
+    fidelity of its conditional state with the ideal output, for the input
+    whose `_angle_parts` are parts.  Of the probabilities only group 5's
+    depends on the input."""
+    t, r2, _, e, deph, e4t, e4, half_p, half_m = factors
+    m2, n2, c1, c2, _ = parts
     quart = m2 * m2 + n2 * n2
     mixed = 2.0 * m2 * n2
-    r2 = 1.0 - t * t
-    e = damped_overlap(alpha, t)
-    deph = cross_dephasing(alpha, t)
-    e4t = math.exp(-4.0 * (alpha * t) ** 2)
-    e4 = math.exp(-4.0 * alpha * alpha)
-    half_p = 0.5 * (t * t + t)
-    half_m = 0.5 * (t * t - t)
-    if i in (1, 2, 3, 4):
-        s = t if i in (1, 2) else t * t
-        sign = 1.0 if i in (1, 3) else -1.0
-        return (
+    groups = []
+    for p, s, sign in (
+        (0.25 * (1.0 - e) * (1.0 + t * e), t, 1.0),
+        (0.25 * (1.0 - e) * (1.0 - t * e), t, -1.0),
+        (0.25 * (1.0 - e) ** 2, t * t, 1.0),
+        (0.25 * (1.0 - e) * (1.0 + e), t * t, -1.0),
+    ):
+        groups.append((
+            p,
             quart * 0.5 * (1.0 + t)
             + mixed * (0.5 * (1.0 - t) * e4t + s * half_p * deph)
             + c2 * s * half_m * e4
-            + sign * c1 * 0.5 * r2 * e
-        )
-    if i == 5:
-        den = 1.0 - c1 * r2
-        if den <= 0.0:
-            raise ValueError("group 5 normalizer is not positive")
-        a_ = 0.5 * (1.0 + t)
-        b_ = 0.5 * (1.0 - t)
-        # The mixed-population bracket keeps the loss factor on its
-        # cross term: r^2/4 * (1 + e^2 + 2 r^2 e).  This is the exact
-        # overlap of the group's conditional state with the target and is
-        # what both state-based routes reproduce.
-        return (
+            + sign * c1 * 0.5 * r2 * e,
+        ))
+    den = 1.0 - c1 * r2
+    if den <= 0.0:
+        raise ValueError("group 5 normalizer is not positive")
+    a_ = 0.5 * (1.0 + t)
+    b_ = 0.5 * (1.0 - t)
+    # The mixed-population bracket keeps the loss factor on its cross term:
+    # r^2/4 * (1 + e^2 + 2 r^2 e).  This is the exact overlap of the group's
+    # conditional state with the target and is what both state-based routes
+    # reproduce.
+    groups.append((
+        0.5 * e * den,
+        (
             quart * (a_ * a_ + b_ * b_ * e4t)
             + mixed
             * (
@@ -156,8 +167,25 @@ def group_fidelity(i: int, alpha: float, t: float, angles: BlochAngles) -> float
             )
             + c2 * (0.5 * r2 * r2 * e + half_p * half_m * (deph + e4))
             - c1 * 0.5 * r2 * (1.0 + e) * (a_ + b_ * e)
-        ) / den
-    raise ValueError(f"group index {i} out of range 1..5")
+        ) / den,
+    ))
+    return tuple(groups)
+
+
+def _group(i: int, alpha: float, t: float, angles: BlochAngles) -> tuple:
+    if i not in range(1, 6):
+        raise ValueError(f"group index {i} out of range 1..5")
+    return _group_formulas(loss_factors(alpha, t), _angle_parts(angles))[i - 1]
+
+
+def group_probability(i: int, alpha: float, t: float, angles: BlochAngles) -> float:
+    """Total probability of group i (angle-dependent only for group 5)."""
+    return _group(i, alpha, t, angles)[0]
+
+
+def group_fidelity(i: int, alpha: float, t: float, angles: BlochAngles) -> float:
+    """Fidelity of group i's conditional state with the ideal output."""
+    return _group(i, alpha, t, angles)[1]
 
 
 def _signed_single_photon(sign: int) -> FockVector:
@@ -171,11 +199,8 @@ def group_state(i: int, alpha: float, t: float, angles: BlochAngles) -> TermSum:
     lay = qubit_layout(HybridType.TYPE_II, "c", alpha)
     m2, n2, c1, _, mn = _angle_parts(angles)
     nm = mn.conjugate()
-    r2 = 1.0 - t * t
-    deph = cross_dephasing(alpha, t)
-    ta = t * alpha
-    half_p = 0.5 * (t * t + t)
-    half_m = 0.5 * (t * t - t)
+    f = loss_factors(alpha, t)
+    r2, ta, deph, half_p, half_m = f.r2, f.ta, f.deph, f.half_p, f.half_m
     terms = []
 
     def add(scalar, block, lcoh, rcoh, primed=False):
@@ -214,9 +239,8 @@ def uniform_teleported_state(alpha: float, t: float, angles: BlochAngles) -> Ter
     lay = qubit_layout(HybridType.TYPE_I, "c", alpha)
     mu, nu = angles.mu, angles.nu
     t2 = t * t
-    r2 = 1.0 - t2
-    deph = cross_dephasing(alpha, t)
-    ta = t * alpha
+    f = loss_factors(alpha, t)
+    r2, ta, deph = f.r2, f.ta, f.deph
     plus = _plus_minus(HybridType.TYPE_I, 1)
     minus = _plus_minus(HybridType.TYPE_I, -1)
     vacuum = ((1.0, (VACUUM, VACUUM)),)
@@ -242,13 +266,12 @@ def uniform_teleported_state(alpha: float, t: float, angles: BlochAngles) -> Ter
     return TermSum(lay, terms).canonicalized()
 
 
-def _group_sums(alpha: float, t: float, angles: BlochAngles) -> tuple:
+def _group_sums(factors: LossFactors, angles: BlochAngles) -> tuple:
     """(sum_i p_i, sum_i p_i f_i) over the five outcome groups for one input."""
     num = 0.0
     den = 0.0
-    for i in range(1, 6):
-        p = group_probability(i, alpha, t, angles)
-        num += p * group_fidelity(i, alpha, t, angles)
+    for p, f in _group_formulas(factors, _angle_parts(angles)):
+        num += p * f
         den += p
     return den, num
 
@@ -257,9 +280,10 @@ def average_fidelity_quadrature(
     alpha: float, t: float, quad: SphereQuadrature = DEFAULT_QUADRATURE
 ) -> float:
     """Sphere average of the per-input success-weighted fidelity ratio."""
+    factors = loss_factors(alpha, t)
     total = 0.0
     for u, v, w in quad.nodes():
-        den, num = _group_sums(alpha, t, BlochAngles(u, v))
+        den, num = _group_sums(factors, BlochAngles(u, v))
         total += w * num / den
     return total
 
@@ -284,7 +308,8 @@ def _axial_coefficients(alpha: float, t: float) -> np.ndarray:
     average them exactly over a circle, and three heights fix the quadratic
     in z.  The probability sum is a + beta z, so its row reads (a, beta, 0).
     """
-    low, mid, high = (np.mean([_group_sums(alpha, t, ang) for ang in circle], axis=0)
+    factors = loss_factors(alpha, t)
+    low, mid, high = (np.mean([_group_sums(factors, ang) for ang in circle], axis=0)
                       for circle in _AXIAL_INPUTS)
     return np.array([mid, 0.5 * (high - low), 0.5 * (high + low) - mid]).T
 

@@ -67,9 +67,16 @@ class NonFiniteError(ArithmeticError):
         self.stage, self.value = stage, value
 
 
+# numpy's Gauss-Legendre rule takes the eigenvalues of a dense n_u x n_u
+# matrix, and the rule holds its n_u n_v nodes as Python tuples
+MAX_GAUSS_LEGENDRE = 1024
+MAX_NODES = 2**20
+
+
 @dataclass(frozen=True)
 class SphereQuadrature:
-    """Bloch-sphere average rule: Gauss-Legendre in cos(u), uniform in v."""
+    """Bloch-sphere average rule: Gauss-Legendre in cos(u), uniform in v.
+    Sizes are checked here; the nodes are built at their first use."""
 
     n_u: int = 32
     n_v: int = 64
@@ -77,6 +84,11 @@ class SphereQuadrature:
     def __post_init__(self):
         if self.n_u < 1 or self.n_v < 1:
             raise ValueError("quadrature sizes must be positive")
+        if self.n_u > MAX_GAUSS_LEGENDRE:
+            raise ValueError(f"quadrature asks for {self.n_u} Gauss-Legendre points in u, "
+                             f"more than {MAX_GAUSS_LEGENDRE}")
+        if self.n_u * self.n_v > MAX_NODES:
+            raise ValueError(f"quadrature asks for {self.n_u * self.n_v} nodes, more than {MAX_NODES}")
 
     @lru_cache(maxsize=8)
     def nodes(self) -> tuple:

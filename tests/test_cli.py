@@ -95,6 +95,18 @@ class TestConfigValidation:
         step = 0.5 / (cli.MAX_R_VALUES - 1)  # a grid of MAX_R_VALUES values
         assert small_config(r_max=0.5, r_step=step).validate().r_step == step
 
+    @pytest.mark.parametrize("quad_u, quad_v, message", [
+        (0, 8, "quadrature sizes must be positive"),
+        (1025, 1, "quadrature asks for 1025 Gauss-Legendre points in u, more than 1024"),
+        (2, 2**19 + 1, "quadrature asks for 1048578 nodes, more than 1048576"),
+        (10**9, 10**9, "quadrature asks for 1000000000 Gauss-Legendre points"),
+    ])
+    def test_sphere_rule_size_is_bounded(self, quad_u, quad_v, message):
+        # validate checks the sizes without building the rule
+        with pytest.raises(ConfigError, match=message):
+            small_config(quad_u=quad_u, quad_v=quad_v).validate()
+        assert small_config(quad_u=512, quad_v=512).validate().quad_v == 512
+
 
 class TestConfigFile:
     def test_parse_and_precedence(self, tmp_path):
@@ -267,17 +279,22 @@ class TestExitCodes:
         assert captured.err.startswith(message)
         assert "Traceback" not in captured.err
 
-    # an overflow names the quantity that overflowed, on every engine
-    @pytest.mark.parametrize("engine, quantity", [
-        ("closed-form", "damped overlap exp(-2(alpha t)^2) overflows at alpha t = 1e+200"),
-        ("first-principles-coherent", "the Fock cutoff of amplitude 1.41e+200 overflows"),
-        ("first-principles-fock", "the Fock cutoff of amplitude 1.41e+200 overflows"),
-    ])
-    def test_overflow_names_its_quantity(self, engine, quantity, capsys):
-        assert main(["--alpha", "1e200", "--r-max", "0", "--engine", engine]) == EXIT_NUMERIC
+    # an overflow names the quantity that overflowed, on every engine; both types
+    # stop at type I, so type II runs alone to reach the closed form's sphere rule
+    @pytest.mark.parametrize("engine, hybrid, quantity", [
+        ("closed-form", "both", "damped overlap exp(-2(alpha t)^2) overflows at alpha t = 1e+200"),
+        ("closed-form", "II", "damped overlap exp(-2(alpha t)^2) overflows at alpha t = 1e+200"),
+        ("first-principles-coherent", "both", "the Fock cutoff of amplitude 1.41e+200 overflows"),
+        ("first-principles-fock", "both", "the Fock cutoff of amplitude 1.41e+200 overflows"),
+    ], ids=["closed-form", "closed-form-type-II", "first-principles-coherent",
+            "first-principles-fock"])
+    def test_overflow_names_its_quantity(self, engine, hybrid, quantity, capsys):
+        argv = ["--alpha", "1e200", "--r-max", "0", "--engine", engine, "--type", hybrid]
+        assert main(argv) == EXIT_NUMERIC
         captured = capsys.readouterr()
+        first = "II" if hybrid == "II" else "I"
         assert captured.err == (f"numeric error: numeric failure in {engine} "
-                                f"at type=I alpha=1e+200 r=0: {quantity}\n")
+                                f"at type={first} alpha=1e+200 r=0: {quantity}\n")
 
     @pytest.mark.parametrize("line, message", [
         ("alpha = 1, nan", "alpha values must be positive and finite"),
@@ -291,6 +308,21 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"config error: {message}\n"
+
+    # type I never reads the sphere rule, so a broken guard would build none here
+    @pytest.mark.parametrize("source", ["flags", "config-file"])
+    def test_oversize_sphere_rule_is_config_error(self, source, tmp_path, capsys):
+        argv = ["--type", "I"]
+        if source == "flags":
+            argv += ["--quad-u", "2", "--quad-v", "524289"]
+        else:
+            cfg_file = tmp_path / "sweep.cfg"
+            cfg_file.write_text("quad-u = 2\nquad-v = 524289\n")
+            argv += ["--config", str(cfg_file)]
+        assert main(argv) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "config error: quadrature asks for 1048578 nodes, more than 1048576\n"
 
     def test_fock_large_alpha_matches_coherent(self, capsys):
         # r = 0 puts sqrt(2) alpha on the input mode, the largest amplitude of the sweep

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import formulas_oracle
 from hybrid_teleport import crossval, formulas
 from hybrid_teleport.encoding import BlochAngles, DynamicBasis, HybridType, logical_ket
 from hybrid_teleport.engine import (
@@ -246,6 +247,46 @@ class TestGroupSumIdentity:
         via_quad = formulas.average_fidelity_quadrature(alpha, t)
         via_api = formulas.average_fidelity(HybridType.TYPE_II, alpha, t, DEFAULT_QUADRATURE)
         assert math.isclose(via_quad, via_api, rel_tol=1e-14)
+
+
+class TestMatchesPerGroupOracle:
+    """One evaluation of all five groups per input keeps every expression and
+    summation order of the per-group evaluation: values are equal, not close."""
+
+    @given(st.floats(0.05, 20.0), st.floats(0.02, 1.0),
+           st.floats(-10.0, 10.0), st.floats(-10.0, 10.0))
+    @settings(max_examples=200, deadline=None)
+    def test_groups_and_sums(self, alpha, t, u, v):
+        ang = BlochAngles(u, v)
+        for i in range(1, 6):
+            assert (formulas.group_probability(i, alpha, t, ang)
+                    == formulas_oracle.group_probability(i, alpha, t, ang))
+            assert (formulas.group_fidelity(i, alpha, t, ang)
+                    == formulas_oracle.group_fidelity(i, alpha, t, ang))
+        assert (formulas._group_sums(formulas.loss_factors(alpha, t), ang)
+                == formulas_oracle.group_sums(alpha, t, ang))
+
+    # a reassociated product moves a fidelity's last bit at only about 1% of
+    # inputs, mostly at small alpha, so every node of a rule is compared too
+    @pytest.mark.parametrize("alpha", [0.05, 0.3, 1.0, 2.5])
+    @pytest.mark.parametrize("t", [0.1, 0.6, 0.95])
+    def test_groups_at_every_node(self, alpha, t):
+        for u, v, _ in SphereQuadrature(16, 32).nodes():
+            ang = BlochAngles(u, v)
+            assert (formulas._group_sums(formulas.loss_factors(alpha, t), ang)
+                    == formulas_oracle.group_sums(alpha, t, ang))
+            for i in range(1, 6):
+                assert (formulas.group_fidelity(i, alpha, t, ang)
+                        == formulas_oracle.group_fidelity(i, alpha, t, ang))
+
+    @pytest.mark.parametrize("quad", [SphereQuadrature(4, 8), DEFAULT_QUADRATURE],
+                             ids=["4x8", "default"])
+    @pytest.mark.parametrize("alpha, r", [(0.05, 0.0), (1.0, 0.3), (5.0, 0.98), (20.0, 0.5)])
+    def test_quadrature_average(self, quad, alpha, r):
+        t = math.sqrt(1.0 - r * r)
+        want = formulas_oracle.average_fidelity_quadrature(alpha, t, quad)
+        assert formulas.average_fidelity_quadrature(alpha, t, quad) == want
+        assert formulas.average_fidelity(HybridType.TYPE_II, alpha, t, quad) == want
 
 
 def axial_rule_average(alpha, t, n):

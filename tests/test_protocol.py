@@ -26,6 +26,8 @@ from hybrid_teleport.engine import (
 from hybrid_teleport.loss import LossParameter
 from hybrid_teleport.measurement import FAIL, correction_lookup, enumerate_outcomes
 from hybrid_teleport.protocol import (
+    MAX_GAUSS_LEGENDRE,
+    MAX_NODES,
     NonFiniteError,
     SphereQuadrature,
     average_fidelity,
@@ -67,6 +69,17 @@ class TestSphereQuadrature:
     def test_validation(self):
         with pytest.raises(ValueError):
             SphereQuadrature(0, 4)
+
+    def test_size_is_bounded(self):
+        # only the constructor runs, so no oversize rule is ever built here
+        with pytest.raises(ValueError, match="1025 Gauss-Legendre points in u, more than 1024"):
+            SphereQuadrature(MAX_GAUSS_LEGENDRE + 1, 1)
+        with pytest.raises(ValueError, match="1048578 nodes, more than 1048576"):
+            SphereQuadrature(2, MAX_NODES // 2 + 1)
+        # the limits themselves are accepted, and so is the 512 x 512 dense reference
+        for n_u, n_v in ((MAX_GAUSS_LEGENDRE, MAX_NODES // MAX_GAUSS_LEGENDRE), (1, MAX_NODES),
+                         (512, 512)):
+            assert SphereQuadrature(n_u, n_v).n_v == n_v
 
     @pytest.mark.parametrize("quad", [SphereQuadrature(8, 16), SphereQuadrature()])
     def test_grid_matches_bloch_angles(self, quad):
